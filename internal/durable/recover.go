@@ -345,7 +345,7 @@ func (st *Store) recoverLocked(live *storage.DB, query string, maxDepth int, ms 
 		// software defect, not media damage.
 		return nil, err
 	}
-	m, err := ivm.RecoverChainNamespaced(live, query, st.ns, chain, wal, ms)
+	m, err := ivm.Recover(live, query, st.ns, chain, wal, ms)
 	if err != nil {
 		// Checksums passed but the content would not rebuild — a stale
 		// manifest landed by a lying rename, or damage below CRC

@@ -6,34 +6,49 @@ import (
 	"fmt"
 	"io"
 	"time"
-
-	"abivm/internal/storage"
 )
 
-// Incremental checkpointing: instead of re-serializing the full replica
-// state at every checkpoint, a CheckpointChain keeps one base segment
-// (the v1 full-checkpoint format, unchanged) plus a chain of delta
-// segments, each covering the WAL range since the previous segment. A
-// delta serializes only the replica rows committed drains have touched
-// (the maintainer's dirty-key set) plus the pending queues — typically a
-// few rows instead of every table. Compaction folds the chain back into
-// a fresh base once it exceeds a configurable depth; it is a pure
-// transformation of already-written segments, never touching the live
-// maintainer, so when it runs relative to drains and crashes cannot
-// change what recovery produces.
+// Checkpointing: a CheckpointChain keeps one base segment (the full
+// replica state) plus a chain of delta segments, each covering the WAL
+// range since the previous segment. A delta serializes only the replica
+// rows committed drains have touched (the maintainer's dirty-key set)
+// plus the pending queues — typically a few rows instead of every
+// table. Once the chain holds its configured number of deltas, the next
+// checkpoint rolls over: it writes a fresh base straight from the live
+// maintainer and drops the old chain, so recovery never folds more than
+// maxDepth segments. Depth 0 rolls over every time, which is plain full
+// checkpointing.
+
+// checkpointVersion guards against reading base segments written by an
+// incompatible layout.
+const checkpointVersion = 1
+
+// checkpointDTO is the on-stream base-segment format: the replica
+// database (the exact state the view reflects), the pending delta
+// queues, and the WAL position the segment covers. The view content
+// itself is not stored — it is a pure function of the replicas (the
+// delta query over them), so Recover recomputes it, keeping the format
+// small and immune to view-state layout changes.
+type checkpointDTO struct {
+	Version int
+	LSN     uint64
+	Replica []byte
+	Queues  map[string][]Mod
+	// Namespace identifies whose state this checkpoint is (see
+	// Maintainer.SetNamespace); "" for un-namespaced maintainers.
+	Namespace string
+}
 
 // deltaCheckpointVersion guards against reading delta segments written
-// by an incompatible layout. It is independent of checkpointVersion:
-// base segments remain plain v1 full checkpoints, which is what keeps
-// pre-chain checkpoints recoverable.
+// by an incompatible layout. It is independent of checkpointVersion.
 const deltaCheckpointVersion = 1
 
 // deltaDTO is the on-stream delta-segment format. FromLSN names the WAL
 // position of the segment it extends and LSN the position it covers
-// through; RecoverChain and Compact refuse a chain whose FromLSN links
-// don't match — the truncated/reordered-chain guard. Queues replace the
-// pending queues wholesale (they are step-sized), while Delta carries
-// only the changed replica rows (see storage.WriteSnapshotDelta).
+// through; Recover refuses a chain whose FromLSN links don't match —
+// the truncated/reordered-chain guard. Queues replace the pending
+// queues wholesale (they are step-sized), while Delta carries only the
+// changed replica rows (see storage.WriteSnapshotDelta).
 type deltaDTO struct {
 	Version   int
 	FromLSN   uint64
@@ -43,47 +58,58 @@ type deltaDTO struct {
 	Namespace string
 }
 
-// CheckpointDelta serializes an incremental checkpoint segment to w:
-// the replica rows drained since the previous segment (which must have
-// covered WAL position fromLSN), the pending queues, and the current
-// WAL position. On success the dirty-key set is cleared — the segment
-// now owns those changes. Callers normally go through
-// CheckpointChain.Checkpoint, which threads fromLSN correctly.
-func (m *Maintainer) CheckpointDelta(w io.Writer, fromLSN uint64) error {
-	if m.obs == nil {
-		return m.checkpointDelta(w, fromLSN)
+// encodeSegment serializes one checkpoint segment — a full base, or a
+// delta extending the segment that covered fromLSN — timing and sizing
+// it for the attached metrics. It leaves the dirty-key set alone: the
+// chain clears it only once the segment is stored.
+func (m *Maintainer) encodeSegment(full bool, fromLSN, lsn uint64) ([]byte, error) {
+	var buf bytes.Buffer
+	var start time.Time
+	if m.obs != nil {
+		//lint:ignore nondet checkpoint latency feeds metrics only, never checkpoint content
+		start = time.Now()
 	}
-	cw := &countingWriter{w: w}
-	//lint:ignore nondet checkpoint latency feeds metrics only, never checkpoint content
-	start := time.Now()
-	err := m.checkpointDelta(cw, fromLSN)
-	if err == nil {
+	if err := m.writeSegment(&buf, full, fromLSN, lsn); err != nil {
+		return nil, err
+	}
+	if m.obs != nil {
 		//lint:ignore nondet measurement of the checkpoint, not part of it
-		m.obs.observeCheckpointDelta(time.Since(start), cw.n)
+		elapsed := time.Since(start)
+		if full {
+			m.obs.ObserveCheckpoint(elapsed, buf.Len())
+		} else {
+			m.obs.observeCheckpointDelta(elapsed, buf.Len())
+		}
 	}
-	return err
+	return buf.Bytes(), nil
 }
 
-func (m *Maintainer) checkpointDelta(w io.Writer, fromLSN uint64) error {
+// writeSegment encodes a base (full) or delta segment to w. The replica
+// serialization buffer and the queue copies are reused across
+// checkpoints (cpBuf / the modPool free list): the encoder consumes them
+// before this function returns, so nothing escapes.
+func (m *Maintainer) writeSegment(w io.Writer, full bool, fromLSN, lsn uint64) error {
 	m.cpBuf.Reset()
+	queues := m.takeQueues()
+	defer m.releaseQueues(queues)
+	enc := gob.NewEncoder(w)
+	if full {
+		if err := m.replica.WriteSnapshot(&m.cpBuf); err != nil {
+			return fmt.Errorf("ivm: checkpoint replica snapshot: %w", err)
+		}
+		dto := checkpointDTO{Version: checkpointVersion, LSN: lsn, Replica: m.cpBuf.Bytes(), Queues: queues, Namespace: m.ns}
+		if err := enc.Encode(dto); err != nil {
+			return fmt.Errorf("ivm: encoding checkpoint: %w", err)
+		}
+		return nil
+	}
 	if err := m.replica.WriteSnapshotDelta(&m.cpBuf, m.dirty); err != nil {
 		return fmt.Errorf("ivm: checkpoint replica delta: %w", err)
 	}
-	dto := deltaDTO{
-		Version:   deltaCheckpointVersion,
-		FromLSN:   fromLSN,
-		Delta:     m.cpBuf.Bytes(),
-		Queues:    m.takeQueues(),
-		Namespace: m.ns,
-	}
-	defer m.releaseQueues(dto.Queues)
-	if m.wal != nil {
-		dto.LSN = m.wal.LastLSN()
-	}
-	if err := gob.NewEncoder(w).Encode(dto); err != nil {
+	dto := deltaDTO{Version: deltaCheckpointVersion, FromLSN: fromLSN, LSN: lsn, Delta: m.cpBuf.Bytes(), Queues: queues, Namespace: m.ns}
+	if err := enc.Encode(dto); err != nil {
 		return fmt.Errorf("ivm: encoding checkpoint delta: %w", err)
 	}
-	m.clearDirty()
 	return nil
 }
 
@@ -145,42 +171,40 @@ func (p *modPool) put(s []Mod) {
 }
 
 // DefaultChainDepth is the default maximum number of delta segments a
-// CheckpointChain accumulates before compacting into a fresh base.
+// CheckpointChain accumulates before rolling over to a fresh base.
 const DefaultChainDepth = 4
 
-// ChainStore mirrors a chain's segment mutations to a durable backend
-// (see internal/durable). PutBase receives every event that resets the
-// chain to a single base segment covering WAL position lsn (the first
-// checkpoint, a compaction, SetBase); PutDelta receives every appended
-// delta segment with its FromLSN→LSN link. Calls arrive in mutation
-// order on the broker's serial checkpoint path; a store error aborts
-// the checkpoint that triggered it.
+// ChainStore mirrors a chain's segment writes to a durable backend (see
+// internal/durable). PutBase receives every base segment — the first
+// checkpoint and each rollover — which resets the chain to that one
+// segment covering WAL position lsn; PutDelta receives every appended
+// delta segment with its FromLSN→LSN link. Calls arrive in write order
+// on the broker's serial checkpoint path; a store error aborts the
+// checkpoint that triggered it and leaves the chain as it was.
 type ChainStore interface {
 	PutBase(seg []byte, lsn uint64) error
 	PutDelta(seg []byte, fromLSN, lsn uint64) error
 }
 
-// CheckpointChain owns a maintainer's incremental recovery point: one
-// base segment (a v1 full checkpoint) plus the delta segments written
-// since. It is the unit the broker stores per subscription and hands to
-// RecoverChain after a crash. A chain is not safe for concurrent use;
-// the broker serializes access under its own lock, like the maintainer
-// itself.
+// CheckpointChain owns a maintainer's recovery point: one base segment
+// plus the delta segments written since. It is the unit the broker
+// stores per subscription and hands to Recover after a crash. A chain is
+// not safe for concurrent use; the broker serializes access under its
+// own lock, like the maintainer itself.
 type CheckpointChain struct {
 	base   []byte
 	deltas [][]byte
 	tipLSN uint64
-	// maxDepth is the compaction trigger: after a checkpoint pushes the
-	// chain past maxDepth delta segments, Checkpoint compacts. 0 means
-	// "compact immediately" — every checkpoint folds to a full base,
-	// which is exactly the pre-chain full-checkpoint behavior.
+	// maxDepth is the rollover trigger: a checkpoint taken while the
+	// chain holds maxDepth delta segments writes a fresh base instead of
+	// another delta. 0 writes a base every time — full checkpointing.
 	maxDepth int
 
 	store ChainStore
 	obs   *Metrics
 }
 
-// NewCheckpointChain returns an empty chain compacting beyond maxDepth
+// NewCheckpointChain returns an empty chain rolling over after maxDepth
 // delta segments; maxDepth < 0 selects DefaultChainDepth.
 func NewCheckpointChain(maxDepth int) *CheckpointChain {
 	if maxDepth < 0 {
@@ -202,8 +226,8 @@ func RestoreChain(base []byte, deltas [][]byte, tipLSN uint64, maxDepth int) *Ch
 	return c
 }
 
-// SetMetrics attaches an instrumentation bundle observing delta writes,
-// compactions, and chain depth; nil detaches.
+// SetMetrics attaches an instrumentation bundle observing rollovers and
+// chain depth; nil detaches.
 func (c *CheckpointChain) SetMetrics(ms *Metrics) { c.obs = ms }
 
 // SetStore attaches a durable mirror receiving every base and delta
@@ -212,19 +236,8 @@ func (c *CheckpointChain) SetMetrics(ms *Metrics) { c.obs = ms }
 // the store already holds) — existing segments are not replayed into it.
 func (c *CheckpointChain) SetStore(st ChainStore) { c.store = st }
 
-// putBase mirrors a chain-resetting base segment to the store, if any.
-func (c *CheckpointChain) putBase(lsn uint64) error {
-	if c.store == nil {
-		return nil
-	}
-	if err := c.store.PutBase(c.base, lsn); err != nil {
-		return fmt.Errorf("ivm: chain store base: %w", err)
-	}
-	return nil
-}
-
-// SetMaxDepth changes the compaction trigger; it takes effect at the
-// next Checkpoint. n < 0 selects DefaultChainDepth.
+// SetMaxDepth changes the rollover trigger; it takes effect at the next
+// Checkpoint. n < 0 selects DefaultChainDepth.
 func (c *CheckpointChain) SetMaxDepth(n int) {
 	if n < 0 {
 		n = DefaultChainDepth
@@ -239,162 +252,46 @@ func (c *CheckpointChain) TipLSN() uint64 { return c.tipLSN }
 // Depth returns the current number of delta segments.
 func (c *CheckpointChain) Depth() int { return len(c.deltas) }
 
-// HasBase reports whether the chain holds a recovery point at all.
-func (c *CheckpointChain) HasBase() bool { return c.base != nil }
-
-// SetBase installs a pre-existing v1 full checkpoint as the chain's
-// base segment, dropping any delta segments. This is how a chain adopts
-// a checkpoint written before incremental checkpointing existed.
-func (c *CheckpointChain) SetBase(base []byte, lsn uint64) error {
-	c.base = base
-	c.deltas = nil
-	c.tipLSN = lsn
-	c.observeDepth()
-	return c.putBase(lsn)
-}
-
-// Checkpoint writes the maintainer's next checkpoint segment into the
-// chain: a full base when the chain is empty, an incremental delta
-// otherwise. When the chain grows past its configured depth it is
-// compacted before returning. On success the chain's tip covers the
-// maintainer's current WAL position, so the caller may truncate the WAL
-// through TipLSN.
+// Checkpoint writes the maintainer's next segment into the chain: a
+// fresh base when the chain is empty or already holds maxDepth deltas,
+// an incremental delta otherwise. The segment is encoded and handed to
+// the store first; only once the store accepts it does the chain adopt
+// it and the maintainer's dirty-key set clear, so a failed checkpoint
+// leaves the chain and the maintainer as they were. On success
+// the chain's tip covers the maintainer's current WAL position, so the
+// caller may truncate the WAL through TipLSN.
 func (c *CheckpointChain) Checkpoint(m *Maintainer) error {
 	lsn := uint64(0)
 	if w := m.WAL(); w != nil {
 		lsn = w.LastLSN()
 	}
-	if c.base == nil {
-		var buf bytes.Buffer
-		if err := m.Checkpoint(&buf); err != nil {
-			return err
-		}
-		// The base covers everything up to now; dirty keys accumulated
-		// before it are folded in.
-		m.clearDirty()
-		c.base = buf.Bytes()
-		c.tipLSN = lsn
-		c.observeDepth()
-		return c.putBase(lsn)
-	}
-	fromLSN := c.tipLSN
-	var buf bytes.Buffer
-	if err := m.CheckpointDelta(&buf, fromLSN); err != nil {
-		return err
-	}
-	c.deltas = append(c.deltas, buf.Bytes())
-	c.tipLSN = lsn
-	if c.store != nil {
-		if err := c.store.PutDelta(buf.Bytes(), fromLSN, lsn); err != nil {
-			return fmt.Errorf("ivm: chain store delta: %w", err)
-		}
-	}
-	if len(c.deltas) > c.maxDepth {
-		return c.Compact()
-	}
-	c.observeDepth()
-	return nil
-}
-
-// Compact folds the delta segments into the base, yielding an
-// equivalent single-segment chain. It is a pure data transformation of
-// the already-written segments — the maintainer is not consulted — so
-// it is safe to run at any point between checkpoints: recovery from the
-// compacted chain produces byte-identical state to recovery from the
-// original chain.
-func (c *CheckpointChain) Compact() error {
-	if len(c.deltas) == 0 {
-		return nil
-	}
-	if c.base == nil {
-		return fmt.Errorf("ivm: compacting a chain with delta segments but no base")
-	}
-	var dto checkpointDTO
-	if err := gob.NewDecoder(bytes.NewReader(c.base)).Decode(&dto); err != nil {
-		return fmt.Errorf("ivm: decoding chain base: %w", err)
-	}
-	if dto.Version != checkpointVersion {
-		return fmt.Errorf("ivm: chain base version %d, want %d", dto.Version, checkpointVersion)
-	}
-	replica, err := storage.ReadSnapshot(bytes.NewReader(dto.Replica))
+	full := c.base == nil || len(c.deltas) >= c.maxDepth
+	seg, err := m.encodeSegment(full, c.tipLSN, lsn)
 	if err != nil {
-		return fmt.Errorf("ivm: chain base replica: %w", err)
-	}
-	if err := foldChainInto(&dto, replica, c.deltas); err != nil {
 		return err
 	}
-	var rbuf bytes.Buffer
-	if err := replica.WriteSnapshot(&rbuf); err != nil {
-		return fmt.Errorf("ivm: compaction replica snapshot: %w", err)
+	if full {
+		if c.store != nil {
+			if err := c.store.PutBase(seg, lsn); err != nil {
+				return fmt.Errorf("ivm: chain store base: %w", err)
+			}
+		}
+		if c.base != nil {
+			c.obs.observeRollover()
+		}
+		c.base, c.deltas = seg, nil
+	} else {
+		if c.store != nil {
+			if err := c.store.PutDelta(seg, c.tipLSN, lsn); err != nil {
+				return fmt.Errorf("ivm: chain store delta: %w", err)
+			}
+		}
+		c.deltas = append(c.deltas, seg)
 	}
-	dto.Replica = rbuf.Bytes()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
-		return fmt.Errorf("ivm: encoding compacted base: %w", err)
-	}
-	c.base = buf.Bytes()
-	c.deltas = nil
-	c.obs.observeCompaction()
-	c.observeDepth()
-	return c.putBase(c.tipLSN)
-}
-
-func (c *CheckpointChain) observeDepth() {
+	c.tipLSN = lsn
+	m.clearDirty()
 	if c.obs != nil {
 		c.obs.CheckpointChainDepth.Set(float64(len(c.deltas)))
 	}
-}
-
-// foldChainInto validates and applies delta segments on top of a
-// decoded base: the replica absorbs each segment's row delta, the
-// queues are replaced by each segment's queue snapshot, and dto.LSN
-// advances to the last segment's position. Every continuity violation —
-// a missing, reordered, or foreign segment — fails here with a
-// diagnosis naming the segment.
-func foldChainInto(dto *checkpointDTO, replica *storage.DB, deltas [][]byte) error {
-	cur := dto.LSN
-	for i, seg := range deltas {
-		var d deltaDTO
-		if err := gob.NewDecoder(bytes.NewReader(seg)).Decode(&d); err != nil {
-			return fmt.Errorf("ivm: decoding delta segment %d: %w", i, err)
-		}
-		if d.Version != deltaCheckpointVersion {
-			return fmt.Errorf("ivm: delta segment %d version %d, want %d", i, d.Version, deltaCheckpointVersion)
-		}
-		if d.Namespace != dto.Namespace {
-			return fmt.Errorf("ivm: delta segment %d namespace %q, want %q", i, d.Namespace, dto.Namespace)
-		}
-		if d.FromLSN != cur {
-			return fmt.Errorf("ivm: delta chain gap at segment %d: extends lsn %d but chain covers %d (truncated or reordered chain)", i, d.FromLSN, cur)
-		}
-		if err := storage.ApplySnapshotDelta(replica, bytes.NewReader(d.Delta)); err != nil {
-			return fmt.Errorf("ivm: applying delta segment %d: %w", i, err)
-		}
-		dto.Queues = d.Queues
-		cur = d.LSN
-	}
-	dto.LSN = cur
 	return nil
-}
-
-// RecoverChain rebuilds a crashed maintainer from an incremental
-// checkpoint chain plus the WAL: load the base, fold the delta
-// segments, recompute the view, then redo the WAL suffix past the
-// chain's tip. See Recover for the single-segment contract it extends.
-func RecoverChain(live *storage.DB, query string, chain *CheckpointChain, wal *WAL) (*Maintainer, error) {
-	return recoverChain(live, query, "", false, chain, wal, nil)
-}
-
-// RecoverChainNamespaced is RecoverChain with the namespace-ownership
-// check of RecoverNamespaced applied to the base and every delta
-// segment.
-func RecoverChainNamespaced(live *storage.DB, query, ns string, chain *CheckpointChain, wal *WAL, ms *Metrics) (*Maintainer, error) {
-	return recoverChain(live, query, ns, true, chain, wal, ms)
-}
-
-func recoverChain(live *storage.DB, query, wantNS string, checkNS bool, chain *CheckpointChain, wal *WAL, ms *Metrics) (*Maintainer, error) {
-	if chain == nil || chain.base == nil {
-		return nil, fmt.Errorf("ivm: recovering from a checkpoint chain with no base segment")
-	}
-	return recoverMaintainer(live, query, wantNS, checkNS, bytes.NewReader(chain.base), chain.deltas, wal, ms)
 }

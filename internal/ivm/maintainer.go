@@ -40,7 +40,7 @@ type Maintainer struct {
 	inj fault.Injector
 
 	// ns is the maintainer's durability namespace. It is stamped into
-	// every checkpoint, and RecoverNamespaced refuses a checkpoint whose
+	// every checkpoint, and Recover refuses a checkpoint whose
 	// namespace does not match — the guard that keeps a sharded broker
 	// from restoring one shard's subscription from another shard's
 	// recovery point.
@@ -123,13 +123,14 @@ func newSkeleton(live *storage.DB, query string) (*Maintainer, error) {
 func (m *Maintainer) Plan() *DeltaPlan { return m.plan }
 
 // AttachWAL makes the maintainer record every accepted arrival and every
-// committed drain to w, enabling Checkpoint/Recover. A nil w detaches.
+// committed drain to w, enabling checkpoints and Recover. A nil w
+// detaches.
 func (m *Maintainer) AttachWAL(w *WAL) { m.wal = w }
 
 // SetNamespace names the maintainer's durability namespace (typically
 // "<shard>/<subscription>"). Checkpoints taken afterwards carry the
-// namespace, and RecoverNamespaced validates it. The empty namespace
-// (the default) disables the check.
+// namespace, and Recover validates it. The empty namespace is the
+// default.
 func (m *Maintainer) SetNamespace(ns string) { m.ns = ns }
 
 // Namespace returns the durability namespace, or "" when unset.
@@ -312,7 +313,7 @@ func (m *Maintainer) ProcessBatch(alias string, k int) error {
 	start := time.Now()
 	err := m.processBatch(alias, k)
 	//lint:ignore nondet measurement of the drain, not part of it
-	m.obs.observeDrain(time.Since(start), k, err)
+	m.obs.ObserveDrain(time.Since(start), k, err)
 	return err
 }
 

@@ -32,8 +32,8 @@ type Metrics struct {
 	WALTruncations *obs.Counter
 	WALRecords     *obs.Gauge
 
-	// Checkpoints counts successful Checkpoint calls; bytes and seconds
-	// observe each checkpoint's size and duration.
+	// Checkpoints counts successful full (base-segment) checkpoints;
+	// bytes and seconds observe each checkpoint's size and duration.
 	Checkpoints       *obs.Counter
 	CheckpointBytes   *obs.Histogram
 	CheckpointSeconds *obs.Histogram
@@ -42,8 +42,9 @@ type Metrics struct {
 	// delta-segment writes (full-segment writes stay in Checkpoints) and
 	// CheckpointDeltaBytes observes each segment's size — the pair whose
 	// ratio to Checkpoints/CheckpointBytes shows what incremental
-	// checkpointing saves. CheckpointCompactions counts chain
-	// compactions and CheckpointChainDepth tracks the delta segments
+	// checkpointing saves. CheckpointCompactions counts chain rollovers
+	// (a base replacing an existing chain; the series keeps its
+	// historical name) and CheckpointChainDepth tracks the delta segments
 	// currently chained behind the base. Delta durations fold into
 	// CheckpointSeconds alongside full checkpoints.
 	CheckpointDeltas      *obs.Counter
@@ -140,28 +141,10 @@ func (ms *Metrics) ObserveRecoveryFallback() {
 	ms.RecoveryFallbacks.Inc()
 }
 
-// ObserveDrain records one drain (ProcessBatch) outcome on behalf of an
-// external view runtime (internal/dataflow), which owns its drain path
-// but reports through the maintainer bundle so classic and shared modes
-// share one set of series.
+// ObserveDrain records one drain (ProcessBatch) outcome. The dataflow
+// runtime reports its own drains through it too, so classic and shared
+// modes share one set of series.
 func (ms *Metrics) ObserveDrain(elapsed time.Duration, k int, err error) {
-	ms.observeDrain(elapsed, k, err)
-}
-
-// ObserveCheckpoint records one successful checkpoint taken by an
-// external view runtime.
-func (ms *Metrics) ObserveCheckpoint(elapsed time.Duration, bytes int) {
-	ms.observeCheckpoint(elapsed, bytes)
-}
-
-// ObserveRecovery records one successful recovery by an external view
-// runtime with the replayed record count.
-func (ms *Metrics) ObserveRecovery(replayed int) {
-	ms.observeRecovery(replayed)
-}
-
-// observeDrain records one ProcessBatch outcome.
-func (ms *Metrics) observeDrain(elapsed time.Duration, k int, err error) {
 	if ms == nil {
 		return
 	}
@@ -174,8 +157,9 @@ func (ms *Metrics) observeDrain(elapsed time.Duration, k int, err error) {
 	ms.DrainedMods.Add(int64(k))
 }
 
-// observeCheckpoint records one successful Checkpoint.
-func (ms *Metrics) observeCheckpoint(elapsed time.Duration, bytes int) {
+// ObserveCheckpoint records one successful full checkpoint, by the
+// checkpoint chain or by an external view runtime.
+func (ms *Metrics) ObserveCheckpoint(elapsed time.Duration, bytes int) {
 	if ms == nil {
 		return
 	}
@@ -184,7 +168,7 @@ func (ms *Metrics) observeCheckpoint(elapsed time.Duration, bytes int) {
 	ms.CheckpointSeconds.Observe(elapsed.Seconds())
 }
 
-// observeCheckpointDelta records one successful CheckpointDelta.
+// observeCheckpointDelta records one successful delta-segment write.
 func (ms *Metrics) observeCheckpointDelta(elapsed time.Duration, bytes int) {
 	if ms == nil {
 		return
@@ -194,17 +178,17 @@ func (ms *Metrics) observeCheckpointDelta(elapsed time.Duration, bytes int) {
 	ms.CheckpointSeconds.Observe(elapsed.Seconds())
 }
 
-// observeCompaction records one chain compaction.
-func (ms *Metrics) observeCompaction() {
+// observeRollover records one chain rollover to a fresh base.
+func (ms *Metrics) observeRollover() {
 	if ms == nil {
 		return
 	}
 	ms.CheckpointCompactions.Inc()
 }
 
-// observeRecovery records one successful Recover with the replayed
-// record count.
-func (ms *Metrics) observeRecovery(replayed int) {
+// ObserveRecovery records one successful recovery — Recover or an
+// external view runtime's — with the replayed record count.
+func (ms *Metrics) ObserveRecovery(replayed int) {
 	if ms == nil {
 		return
 	}

@@ -4,145 +4,38 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"sort"
-	"time"
 
 	"abivm/internal/storage"
 )
 
-// checkpointVersion guards against reading checkpoints written by an
-// incompatible layout.
-const checkpointVersion = 1
-
-// checkpointDTO is the on-stream checkpoint format: the replica database
-// (the exact state the view reflects), the pending delta queues, and the
-// WAL position the checkpoint covers. The view content itself is not
-// stored — it is a pure function of the replicas (the delta query over
-// them), so Recover recomputes it, keeping the format small and immune
-// to view-state layout changes.
-type checkpointDTO struct {
-	Version int
-	LSN     uint64
-	Replica []byte
-	Queues  map[string][]Mod
-	// Namespace identifies whose state this checkpoint is (see
-	// Maintainer.SetNamespace); "" for un-namespaced maintainers. Old
-	// checkpoints decode with the zero value, so the field is
-	// version-compatible.
-	Namespace string
-}
-
-// Checkpoint serializes the maintainer's durable state to w: replica
-// snapshot, delta queues, and the current WAL position. Everything the
-// checkpoint covers (LSN and below) may be truncated from the WAL
-// afterwards; Recover replays only records past the checkpoint.
-func (m *Maintainer) Checkpoint(w io.Writer) error {
-	if m.obs == nil {
-		return m.checkpoint(w)
+// Recover rebuilds a crashed maintainer from its checkpoint chain and
+// the write-ahead log: fold the base and delta segments into replica
+// state and queues, recompute the view content from the replicas, then
+// redo the WAL suffix past the chain's tip — arrivals re-enter the
+// queues (their live-table effects already happened before the crash)
+// and drains re-execute, so the recovered maintainer matches the crashed
+// one exactly: same replicas, same queues, same view. The WAL is
+// attached to the returned maintainer; replayed work is not re-logged.
+//
+// Every segment must carry the durability namespace ns (see
+// Maintainer.SetNamespace; "" for an un-namespaced maintainer), or
+// recovery fails before any state is rebuilt — a sharded broker relies
+// on this to restore only its own subscriptions' recovery points. A
+// non-nil ms counts the recovery, observes the replayed WAL suffix
+// length, and stays attached to the recovered maintainer so its later
+// drains report to the same registry.
+func Recover(live *storage.DB, query, ns string, chain *CheckpointChain, wal *WAL, ms *Metrics) (*Maintainer, error) {
+	if chain == nil || chain.base == nil {
+		return nil, fmt.Errorf("ivm: recovering from a checkpoint chain with no base segment")
 	}
-	cw := &countingWriter{w: w}
-	//lint:ignore nondet checkpoint latency feeds metrics only, never checkpoint content
-	start := time.Now()
-	err := m.checkpoint(cw)
-	if err == nil {
-		//lint:ignore nondet measurement of the checkpoint, not part of it
-		m.obs.observeCheckpoint(time.Since(start), cw.n)
-	}
-	return err
-}
-
-// countingWriter measures checkpoint size without buffering it.
-type countingWriter struct {
-	w io.Writer
-	n int
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += n
-	return n, err
-}
-
-func (m *Maintainer) checkpoint(w io.Writer) error {
-	// The replica serialization buffer and the queue copies are reused
-	// across checkpoints (cpBuf / the modPool free list): the encoder
-	// consumes them before this function returns, so nothing escapes.
-	m.cpBuf.Reset()
-	if err := m.replica.WriteSnapshot(&m.cpBuf); err != nil {
-		return fmt.Errorf("ivm: checkpoint replica snapshot: %w", err)
-	}
-	dto := checkpointDTO{
-		Version:   checkpointVersion,
-		Replica:   m.cpBuf.Bytes(),
-		Queues:    m.takeQueues(),
-		Namespace: m.ns,
-	}
-	defer m.releaseQueues(dto.Queues)
-	if m.wal != nil {
-		dto.LSN = m.wal.LastLSN()
-	}
-	if err := gob.NewEncoder(w).Encode(dto); err != nil {
-		return fmt.Errorf("ivm: encoding checkpoint: %w", err)
-	}
-	return nil
-}
-
-// Recover rebuilds a crashed maintainer from its last checkpoint and the
-// write-ahead log: load the replica snapshot and queues, recompute the
-// view content from the replicas, then redo the WAL suffix — arrivals
-// re-enter the queues (their live-table effects already happened before
-// the crash) and drains re-execute, so the recovered maintainer matches
-// the crashed one exactly: same replicas, same queues, same view. The
-// WAL is attached to the returned maintainer; replayed work is not
-// re-logged.
-func Recover(live *storage.DB, query string, cp io.Reader, wal *WAL) (*Maintainer, error) {
-	return recoverMaintainer(live, query, "", false, cp, nil, wal, nil)
-}
-
-// RecoverNamespaced is Recover with a namespace check: the checkpoint
-// must have been written by a maintainer whose namespace is exactly ns,
-// otherwise recovery fails before any state is rebuilt. A sharded broker
-// uses this to guarantee each shard restores only its own subscriptions'
-// recovery points ("<shard>/<subscription>" namespaces).
-func RecoverNamespaced(live *storage.DB, query, ns string, cp io.Reader, wal *WAL, ms *Metrics) (*Maintainer, error) {
-	return recoverMaintainer(live, query, ns, true, cp, nil, wal, ms)
-}
-
-// RecoverWithMetrics is Recover with an instrumentation bundle: a
-// successful recovery is counted, its replayed WAL suffix length is
-// observed, and ms is attached to the recovered maintainer so its
-// post-recovery drains keep reporting to the same registry. A nil ms is
-// exactly Recover.
-func RecoverWithMetrics(live *storage.DB, query string, cp io.Reader, wal *WAL, ms *Metrics) (*Maintainer, error) {
-	return recoverMaintainer(live, query, "", false, cp, nil, wal, ms)
-}
-
-// recoverMaintainer is the shared implementation; checkNS enables the namespace
-// validation (wantNS may legitimately be "" for a namespaced caller that
-// never named its maintainer). A non-empty deltas is an incremental
-// checkpoint chain: each segment is validated (version, namespace, LSN
-// continuity) and folded into the base state before the view recompute.
-func recoverMaintainer(live *storage.DB, query, wantNS string, checkNS bool, cp io.Reader, deltas [][]byte, wal *WAL, ms *Metrics) (*Maintainer, error) {
 	var dto checkpointDTO
-	if err := gob.NewDecoder(cp).Decode(&dto); err != nil {
-		return nil, fmt.Errorf("ivm: decoding checkpoint: %w", err)
-	}
-	if dto.Version != checkpointVersion {
-		return nil, fmt.Errorf("ivm: checkpoint version %d, want %d", dto.Version, checkpointVersion)
-	}
-	if checkNS && dto.Namespace != wantNS {
-		return nil, fmt.Errorf("ivm: checkpoint namespace %q, want %q", dto.Namespace, wantNS)
-	}
-	m, err := newSkeleton(live, query)
+	replica, err := foldChainInto(&dto, chain.base, chain.deltas, ns)
 	if err != nil {
 		return nil, err
 	}
-	replica, err := storage.ReadSnapshot(bytes.NewReader(dto.Replica))
+	m, err := newSkeleton(live, query)
 	if err != nil {
-		return nil, fmt.Errorf("ivm: checkpoint replica: %w", err)
-	}
-	if err := foldChainInto(&dto, replica, deltas); err != nil {
 		return nil, err
 	}
 	m.replica = replica
@@ -201,8 +94,52 @@ func recoverMaintainer(live *storage.DB, query, wantNS string, checkNS bool, cp 
 	m.wal = wal
 	m.obs = ms
 	m.ns = dto.Namespace
-	ms.observeRecovery(replayed)
+	ms.ObserveRecovery(replayed)
 	// Replay work is recovery overhead, not maintenance cost.
 	*m.stats = storage.Stats{}
 	return m, nil
+}
+
+// foldChainInto decodes a base segment into dto and folds the delta
+// segments on top: the returned replica absorbs each segment's row
+// delta, dto.Queues is replaced by each segment's queue snapshot, and
+// dto.LSN advances to the last segment's position. Every segment must
+// belong to namespace ns, and every continuity violation — a missing,
+// reordered, or foreign segment — fails here with a diagnosis naming
+// the segment.
+func foldChainInto(dto *checkpointDTO, base []byte, deltas [][]byte, ns string) (*storage.DB, error) {
+	if err := gob.NewDecoder(bytes.NewReader(base)).Decode(dto); err != nil {
+		return nil, fmt.Errorf("ivm: decoding checkpoint: %w", err)
+	}
+	if dto.Version != checkpointVersion {
+		return nil, fmt.Errorf("ivm: checkpoint version %d, want %d", dto.Version, checkpointVersion)
+	}
+	if dto.Namespace != ns {
+		return nil, fmt.Errorf("ivm: checkpoint namespace %q, want %q", dto.Namespace, ns)
+	}
+	replica, err := storage.ReadSnapshot(bytes.NewReader(dto.Replica))
+	if err != nil {
+		return nil, fmt.Errorf("ivm: checkpoint replica: %w", err)
+	}
+	for i, seg := range deltas {
+		var d deltaDTO
+		if err := gob.NewDecoder(bytes.NewReader(seg)).Decode(&d); err != nil {
+			return nil, fmt.Errorf("ivm: decoding delta segment %d: %w", i, err)
+		}
+		if d.Version != deltaCheckpointVersion {
+			return nil, fmt.Errorf("ivm: delta segment %d version %d, want %d", i, d.Version, deltaCheckpointVersion)
+		}
+		if d.Namespace != ns {
+			return nil, fmt.Errorf("ivm: delta segment %d namespace %q, want %q", i, d.Namespace, ns)
+		}
+		if d.FromLSN != dto.LSN {
+			return nil, fmt.Errorf("ivm: delta chain gap at segment %d: extends lsn %d but chain covers %d (truncated or reordered chain)", i, d.FromLSN, dto.LSN)
+		}
+		if err := storage.ApplySnapshotDelta(replica, bytes.NewReader(d.Delta)); err != nil {
+			return nil, fmt.Errorf("ivm: applying delta segment %d: %w", i, err)
+		}
+		dto.Queues = d.Queues
+		dto.LSN = d.LSN
+	}
+	return replica, nil
 }

@@ -1,7 +1,6 @@
 package ivm
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -25,6 +24,17 @@ func applyN(t *testing.T, m *Maintainer, base, n int) {
 // pendingKey renders the pending vector for comparison.
 func pendingKey(m *Maintainer) string { return fmt.Sprint(m.Pending()) }
 
+// fullCheckpoint takes one full checkpoint of m: a depth-0 chain holding
+// a single base segment.
+func fullCheckpoint(t *testing.T, m *Maintainer) *CheckpointChain {
+	t.Helper()
+	chain := NewCheckpointChain(0)
+	if err := chain.Checkpoint(m); err != nil {
+		t.Fatal(err)
+	}
+	return chain
+}
+
 func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	db := liveDB(t)
 	m, err := New(db, paperView)
@@ -39,10 +49,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	if err := m.ProcessBatch("PS", 2); err != nil {
 		t.Fatal(err)
 	}
-	var cp bytes.Buffer
-	if err := m.Checkpoint(&cp); err != nil {
-		t.Fatal(err)
-	}
+	cp := fullCheckpoint(t, m)
 	applyN(t, m, 200, 3)
 	if err := m.Apply(Update("S", []storage.Value{storage.I(0)},
 		storage.Row{storage.I(0), storage.S("S2"), storage.I(1)})); err != nil {
@@ -58,7 +65,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	wantPending := pendingKey(m)
 	wantView := rowsKey(m.Result())
 
-	rec, err := Recover(db, paperView, bytes.NewReader(cp.Bytes()), wal)
+	rec, err := Recover(db, paperView, "", cp, wal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,15 +96,11 @@ func TestRecoverAfterWALTruncation(t *testing.T) {
 	if err := m.ProcessBatch("PS", 3); err != nil {
 		t.Fatal(err)
 	}
-	lsn := wal.LastLSN()
-	var cp bytes.Buffer
-	if err := m.Checkpoint(&cp); err != nil {
-		t.Fatal(err)
-	}
-	wal.TruncateThrough(lsn)
+	cp := fullCheckpoint(t, m)
+	wal.TruncateThrough(cp.TipLSN())
 	applyN(t, m, 300, 2)
 
-	rec, err := Recover(db, paperView, bytes.NewReader(cp.Bytes()), wal)
+	rec, err := Recover(db, paperView, "", cp, wal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,21 +112,28 @@ func TestRecoverAfterWALTruncation(t *testing.T) {
 
 func TestRecoverRejectsBadCheckpoint(t *testing.T) {
 	db := liveDB(t)
-	if _, err := Recover(db, paperView, strings.NewReader("not a checkpoint"), NewWAL()); err == nil {
+	garbage := RestoreChain([]byte("not a checkpoint"), nil, 0, -1)
+	if _, err := Recover(db, paperView, "", garbage, NewWAL(), nil); err == nil {
 		t.Error("garbage checkpoint accepted")
 	}
 	m, err := New(db, paperView)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cp bytes.Buffer
-	if err := m.Checkpoint(&cp); err != nil {
-		t.Fatal(err)
-	}
+	cp := fullCheckpoint(t, m)
 	// A view over a table the checkpoint has no replica for must be
 	// rejected, not silently rebuilt.
-	if _, err := Recover(db, "SELECT a.x FROM audit AS a", bytes.NewReader(cp.Bytes()), NewWAL()); err == nil {
+	if _, err := Recover(db, "SELECT a.x FROM audit AS a", "", cp, NewWAL(), nil); err == nil {
 		t.Error("checkpoint missing the view's replica accepted")
+	}
+	// A checkpoint whose queues name an alias the view does not have
+	// (same tables, PS renamed X) is refused by name.
+	other, err := New(db, strings.Replace(strings.ReplaceAll(paperView, "PS.", "X."), "AS PS", "AS X", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(db, paperView, "", fullCheckpoint(t, other), nil, nil); err == nil || !strings.Contains(err.Error(), `unknown alias "X"`) {
+		t.Errorf("foreign-alias checkpoint: err = %v, want an unknown-alias diagnosis", err)
 	}
 }
 

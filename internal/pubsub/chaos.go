@@ -45,9 +45,6 @@ type ChaosConfig struct {
 	// recovery variants; <= 0 derives it from the seed (1..4), so the
 	// seed sweep covers the depth space.
 	ChainDepth int
-	// CompactEvery is the scheduled chain-compaction cadence (in steps)
-	// of the compacted variant; <= 0 derives it from the seed (3..7).
-	CompactEvery int
 	// Shared adds two shared-dataflow variants: the whole workload re-run
 	// on the shared operator-graph runtime (SetSharedDataflow), once
 	// fault-free and once faulted. Both must stay byte-identical to the
@@ -97,8 +94,9 @@ type ChaosReport struct {
 	// every faulted variant are byte-identical to the baseline.
 	Identical bool
 	// Variants names the recovery configurations that were compared
-	// against the baseline (full checkpoints, incremental chain,
-	// scheduled compaction; one combined entry in sharded mode).
+	// against the baseline (full checkpoints, incremental chain, and the
+	// optional shared and disk variants; sharded mode starts with one
+	// combined entry).
 	Variants []string
 	// Diff holds a diagnostic excerpt of the first divergence, prefixed
 	// with the diverging variant's name.
@@ -217,7 +215,7 @@ func regionQuery(region string) string {
 // and (for a non-nil opener) the aggregated durability counters. The
 // retry jitter is seeded from the same seed as the workload, so the
 // backoff sequence is part of the reproducible execution, not noise.
-func chaosRun(script [][]chaosEvent, seed int64, inj fault.Injector, cpEvery, chainDepth, compactEvery int, opener durable.Opener, shared bool) (transcript, finals string, degraded int, stats durable.Stats, err error) {
+func chaosRun(script [][]chaosEvent, seed int64, inj fault.Injector, cpEvery, chainDepth int, opener durable.Opener, shared bool) (transcript, finals string, degraded int, stats durable.Stats, err error) {
 	db, err := chaosDB()
 	if err != nil {
 		return "", "", 0, stats, err
@@ -258,14 +256,6 @@ func chaosRun(script [][]chaosEvent, seed int64, inj fault.Injector, cpEvery, ch
 		if err != nil {
 			return "", "", 0, stats, fmt.Errorf("step %d: %w", t, err)
 		}
-		// Scheduled compaction interleaves with the periodic checkpoints
-		// and the injected crashes; recovery from a just-compacted chain
-		// must be indistinguishable from recovery from the chained form.
-		if compactEvery > 0 && (t+1)%compactEvery == 0 {
-			if err := b.CompactCheckpoints(); err != nil {
-				return "", "", 0, stats, fmt.Errorf("step %d: compaction: %w", t, err)
-			}
-		}
 		for _, n := range ns {
 			if n.Degraded {
 				degraded++
@@ -300,7 +290,7 @@ const chaosSampleEvery = 10
 // cost and pending vector into the transcript — reading them without the
 // quiesce would race the shard workers mid-drain and make the sample
 // depend on scheduling, exactly the bug the quiesce exists to prevent.
-func chaosRunSharded(script [][]chaosEvent, seed int64, shards int, spec WorkloadSpec, factory func(int) fault.Injector, cpEvery, chainDepth, compactEvery int, opener durable.Opener, shared bool) (transcript, finals string, degraded int, stats durable.Stats, err error) {
+func chaosRunSharded(script [][]chaosEvent, seed int64, shards int, spec WorkloadSpec, factory func(int) fault.Injector, cpEvery, chainDepth int, opener durable.Opener, shared bool) (transcript, finals string, degraded int, stats durable.Stats, err error) {
 	db, err := chaosDBSpec(spec)
 	if err != nil {
 		return "", "", 0, stats, err
@@ -359,13 +349,6 @@ func chaosRunSharded(script [][]chaosEvent, seed int64, shards int, spec Workloa
 		if err != nil {
 			return "", "", 0, stats, fmt.Errorf("step %d: %w", t, err)
 		}
-		// Scheduled compaction between barriers: each shard's broker takes
-		// its own lock, so the workers are idle with respect to chains.
-		if compactEvery > 0 && (t+1)%compactEvery == 0 {
-			if err := sb.CompactCheckpoints(); err != nil {
-				return "", "", 0, stats, fmt.Errorf("step %d: compaction: %w", t, err)
-			}
-		}
 		for _, n := range ns {
 			if n.Degraded {
 				degraded++
@@ -398,25 +381,20 @@ func renderRows(rows []storage.Row) string {
 	return strings.Join(parts, "|")
 }
 
-// chaosChainParams resolves the incremental chain depth and compaction
-// cadence for a seed: explicit config values win, otherwise both derive
-// from the seed so a seed sweep covers the (depth, cadence) space.
-func chaosChainParams(cfg ChaosConfig) (depth, compactEvery int) {
-	depth = cfg.ChainDepth
-	if depth <= 0 {
-		depth = 1 + int(((cfg.Seed%4)+4)%4)
+// chaosChainDepth resolves the incremental chain depth for a seed: an
+// explicit config value wins, otherwise it derives from the seed so a
+// seed sweep covers the depth space.
+func chaosChainDepth(cfg ChaosConfig) int {
+	if cfg.ChainDepth > 0 {
+		return cfg.ChainDepth
 	}
-	compactEvery = cfg.CompactEvery
-	if compactEvery <= 0 {
-		compactEvery = 3 + int(((cfg.Seed%5)+5)%5)
-	}
-	return depth, compactEvery
+	return 1 + int(((cfg.Seed%4)+4)%4)
 }
 
 // RunChaos runs the seeded workload fault-free once and faulted once per
 // recovery variant — full checkpoints (chain depth 0), an incremental
-// delta chain, and the same chain under a scheduled compaction cadence —
-// and compares every execution byte for byte. The fault schedule is
+// delta chain that rolls over at its depth, and optionally the same
+// chain on disk — and compares every execution byte for byte. The fault schedule is
 // identical across variants (checkpoint layout never changes which sites
 // are polled), so any divergence isolates a bug in that variant's
 // recovery path. All injectors are seeded from the workload seed, so the
@@ -442,34 +420,30 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		return runChaosSharded(cfg)
 	}
 	script := chaosScript(cfg.Seed, cfg.Steps, DefaultWorkloadSpec())
-	depth, compactEvery := chaosChainParams(cfg)
+	depth := chaosChainDepth(cfg)
 
-	// The baseline runs with the compacted variant's configuration: a
+	// The baseline runs with the incremental variant's depth: a
 	// fault-free run's observable output must not depend on checkpoint
 	// layout at all, so comparing it against every variant also proves
-	// compaction alone perturbs nothing.
-	baseT, baseF, _, _, err := chaosRun(script, cfg.Seed, nil, cfg.CheckpointEvery, depth, compactEvery, nil, false)
+	// the chain shape alone perturbs nothing.
+	baseT, baseF, _, _, err := chaosRun(script, cfg.Seed, nil, cfg.CheckpointEvery, depth, nil, false)
 	if err != nil {
 		return nil, fmt.Errorf("chaos seed %d: baseline run: %w", cfg.Seed, err)
 	}
 
-	variants := []struct {
-		name                string
-		depth, compactEvery int
-		opener              durable.Opener
-	}{
-		{"full", 0, 0, nil},
-		{fmt.Sprintf("incremental(depth=%d)", depth), depth, 0, nil},
-		{fmt.Sprintf("compacted(depth=%d,every=%d)", depth, compactEvery), depth, compactEvery, nil},
+	type variant struct {
+		name   string
+		depth  int
+		opener durable.Opener
+	}
+	variants := []variant{
+		{"full", 0, nil},
+		{fmt.Sprintf("incremental(depth=%d)", depth), depth, nil},
 	}
 	if cfg.Disk {
 		// The clean-disk variant must be byte-identical like the in-memory
 		// ones: with intact files, disk recovery is an exact redo.
-		variants = append(variants, struct {
-			name                string
-			depth, compactEvery int
-			opener              durable.Opener
-		}{fmt.Sprintf("disk(depth=%d)", depth), depth, compactEvery, cfg.diskOpener("disk", nil)})
+		variants = append(variants, variant{fmt.Sprintf("disk(depth=%d)", depth), depth, cfg.diskOpener("disk", nil)})
 	}
 	rep := &ChaosReport{
 		Seed:          cfg.Seed,
@@ -480,7 +454,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	for _, v := range variants {
 		rep.Variants = append(rep.Variants, v.name)
 		inj := fault.NewSeeded(cfg.Seed, cfg.Rates)
-		faultT, faultF, degraded, _, err := chaosRun(script, cfg.Seed, inj, cfg.CheckpointEvery, v.depth, v.compactEvery, v.opener, false)
+		faultT, faultF, degraded, _, err := chaosRun(script, cfg.Seed, inj, cfg.CheckpointEvery, v.depth, v.opener, false)
 		if err != nil {
 			return nil, fmt.Errorf("chaos seed %d: %s run: %w", cfg.Seed, v.name, err)
 		}
@@ -512,7 +486,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			if v.faulted {
 				inj = fault.NewSeeded(cfg.Seed, cfg.Rates)
 			}
-			sT, sF, _, _, err := chaosRun(script, cfg.Seed, inj, cfg.CheckpointEvery, depth, compactEvery, nil, true)
+			sT, sF, _, _, err := chaosRun(script, cfg.Seed, inj, cfg.CheckpointEvery, depth, nil, true)
 			if err != nil {
 				return nil, fmt.Errorf("chaos seed %d: %s run: %w", cfg.Seed, v.name, err)
 			}
@@ -530,7 +504,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		var medias []*fault.Media
 		opener := trackedOpener(cfg.diskOpener("disk-faulted", &cfg.MediaRates), &medias)
 		inj := fault.NewSeeded(cfg.Seed, cfg.Rates)
-		faultT, faultF, _, stats, err := chaosRun(script, cfg.Seed, inj, cfg.CheckpointEvery, depth, compactEvery, opener, false)
+		faultT, faultF, _, stats, err := chaosRun(script, cfg.Seed, inj, cfg.CheckpointEvery, depth, opener, false)
 		if err != nil {
 			return nil, fmt.Errorf("chaos seed %d: %s run: %w", cfg.Seed, name, err)
 		}
@@ -599,9 +573,9 @@ func trackedOpener(open durable.Opener, medias *[]*fault.Media) durable.Opener {
 func runChaosSharded(cfg ChaosConfig) (*ChaosReport, error) {
 	spec := ScaledWorkloadSpec(2 * cfg.Shards)
 	script := chaosScript(cfg.Seed, cfg.Steps, spec)
-	depth, compactEvery := chaosChainParams(cfg)
+	depth := chaosChainDepth(cfg)
 
-	baseT, baseF, _, _, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, nil, cfg.CheckpointEvery, depth, compactEvery, nil, false)
+	baseT, baseF, _, _, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, nil, cfg.CheckpointEvery, depth, nil, false)
 	if err != nil {
 		return nil, fmt.Errorf("chaos seed %d shards %d: baseline run: %w", cfg.Seed, cfg.Shards, err)
 	}
@@ -616,7 +590,7 @@ func runChaosSharded(cfg ChaosConfig) (*ChaosReport, error) {
 		injs = append(injs, inj)
 		return inj
 	}
-	faultT, faultF, degraded, _, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, factory, cfg.CheckpointEvery, depth, compactEvery, nil, false)
+	faultT, faultF, degraded, _, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, factory, cfg.CheckpointEvery, depth, nil, false)
 	if err != nil {
 		return nil, fmt.Errorf("chaos seed %d shards %d: faulted run: %w", cfg.Seed, cfg.Shards, err)
 	}
@@ -627,7 +601,7 @@ func runChaosSharded(cfg ChaosConfig) (*ChaosReport, error) {
 		Shards:    cfg.Shards,
 		Faults:    map[fault.Site]int{},
 		Degraded:  degraded,
-		Variants:  []string{fmt.Sprintf("sharded(depth=%d,every=%d)", depth, compactEvery)},
+		Variants:  []string{fmt.Sprintf("sharded(depth=%d)", depth)},
 		Identical: baseT == faultT && baseF == faultF,
 	}
 	for _, line := range strings.Split(baseT, "\n") {
@@ -656,7 +630,7 @@ func runChaosSharded(cfg ChaosConfig) (*ChaosReport, error) {
 			{"sharded-shared-faulted", SeededShardInjectors(cfg.Seed, cfg.Rates)},
 		} {
 			rep.Variants = append(rep.Variants, v.name)
-			sT, sF, _, _, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, v.factory, cfg.CheckpointEvery, depth, compactEvery, nil, true)
+			sT, sF, _, _, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, v.factory, cfg.CheckpointEvery, depth, nil, true)
 			if err != nil {
 				return nil, fmt.Errorf("chaos seed %d shards %d: %s run: %w", cfg.Seed, cfg.Shards, v.name, err)
 			}
@@ -675,7 +649,7 @@ func runChaosSharded(cfg ChaosConfig) (*ChaosReport, error) {
 		// shard scheduling cannot perturb the outcome.
 		name := fmt.Sprintf("sharded-disk(depth=%d)", depth)
 		rep.Variants = append(rep.Variants, name)
-		dT, dF, _, _, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, SeededShardInjectors(cfg.Seed, cfg.Rates), cfg.CheckpointEvery, depth, compactEvery, cfg.diskOpener("disk", nil), false)
+		dT, dF, _, _, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, SeededShardInjectors(cfg.Seed, cfg.Rates), cfg.CheckpointEvery, depth, cfg.diskOpener("disk", nil), false)
 		if err != nil {
 			return nil, fmt.Errorf("chaos seed %d shards %d: %s run: %w", cfg.Seed, cfg.Shards, name, err)
 		}
@@ -691,7 +665,7 @@ func runChaosSharded(cfg ChaosConfig) (*ChaosReport, error) {
 		rep.Variants = append(rep.Variants, name)
 		var medias []*fault.Media
 		opener := trackedOpener(cfg.diskOpener("disk-faulted", &cfg.MediaRates), &medias)
-		fT, fF, _, stats, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, SeededShardInjectors(cfg.Seed, cfg.Rates), cfg.CheckpointEvery, depth, compactEvery, opener, false)
+		fT, fF, _, stats, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, SeededShardInjectors(cfg.Seed, cfg.Rates), cfg.CheckpointEvery, depth, opener, false)
 		if err != nil {
 			return nil, fmt.Errorf("chaos seed %d shards %d: %s run: %w", cfg.Seed, cfg.Shards, name, err)
 		}

@@ -241,9 +241,9 @@ func (b *Broker) SetCheckpointEvery(n int) {
 }
 
 // SetCheckpointChainDepth sets how many incremental delta segments a
-// subscription's checkpoint chain accumulates before compacting into a
-// fresh full base. 0 compacts on every checkpoint — the pre-chain
-// full-checkpoint behavior — and n < 0 selects ivm.DefaultChainDepth.
+// subscription's checkpoint chain accumulates before its next
+// checkpoint rolls over to a fresh full base. 0 writes a full base at
+// every checkpoint, and n < 0 selects ivm.DefaultChainDepth.
 // Applies to current and future subscriptions.
 func (b *Broker) SetCheckpointChainDepth(n int) {
 	b.mu.Lock()
@@ -257,26 +257,6 @@ func (b *Broker) SetCheckpointChainDepth(n int) {
 			s.chain.SetMaxDepth(n)
 		}
 	}
-}
-
-// CompactCheckpoints folds every subscription's checkpoint chain into a
-// single full base segment. Compaction transforms only the stored
-// segments — maintainers are not consulted — so recovery before and
-// after a compaction produces identical state; operators call it (via
-// the ops endpoint or on a schedule) to bound recovery's segment-fold
-// work.
-func (b *Broker) CompactCheckpoints() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, s := range b.subs {
-		if s.chain == nil {
-			continue // shared-dataflow subs keep a single snapshot, no chain
-		}
-		if err := s.chain.Compact(); err != nil {
-			return fmt.Errorf("pubsub: %s: compacting checkpoint chain: %w", s.cfg.Name, err)
-		}
-	}
-	return nil
 }
 
 // SetStoreOpener installs a durable-store opener: every subscription
@@ -765,7 +745,7 @@ func (b *Broker) maybeCrash(s *sub) error {
 	}
 	// Recovery validates the checkpoint's durability namespace: a shard
 	// can only restore its own subscription's recovery point.
-	m, err := ivm.RecoverChainNamespaced(b.db, s.cfg.Query, s.m.Namespace(), s.chain, s.wal, ms)
+	m, err := ivm.Recover(b.db, s.cfg.Query, s.m.Namespace(), s.chain, s.wal, ms)
 	if err != nil {
 		return fmt.Errorf("pubsub: %s: recovery failed: %w", s.cfg.Name, err)
 	}
@@ -778,7 +758,7 @@ func (b *Broker) maybeCrash(s *sub) error {
 // checkpointDue takes the periodic per-subscription checkpoints and
 // truncates the covered WAL prefixes. Each checkpoint extends the
 // subscription's chain — a small delta segment in the steady state, a
-// full base only when the chain is empty or compaction triggers. An
+// full base only when the chain is empty or rolls over. An
 // injected checkpoint failure skips that subscription's checkpoint —
 // recovery simply replays a longer WAL suffix, so nothing degrades.
 func (b *Broker) checkpointDue() error {

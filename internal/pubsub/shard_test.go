@@ -215,7 +215,7 @@ func TestShardedDeterminismSameSeed(t *testing.T) {
 	script := chaosScript(seed, steps, spec)
 	var first string
 	for run := 0; run < 2; run++ {
-		tr, fin, _, _, err := chaosRunSharded(script, seed, shards, spec, SeededShardInjectors(seed, fault.DefaultRates()), 5, 3, 4, nil, false)
+		tr, fin, _, _, err := chaosRunSharded(script, seed, shards, spec, SeededShardInjectors(seed, fault.DefaultRates()), 5, 3, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}

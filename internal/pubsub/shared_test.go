@@ -58,11 +58,11 @@ func subscribeSharedViews(t testing.TB, b *Broker, n int) {
 // fault machinery in the way.
 func TestSharedRunMatchesClassic(t *testing.T) {
 	script := chaosScript(3, 40, DefaultWorkloadSpec())
-	ct, cf, _, _, err := chaosRun(script, 3, nil, 5, 2, 0, nil, false)
+	ct, cf, _, _, err := chaosRun(script, 3, nil, 5, 2, nil, false)
 	if err != nil {
 		t.Fatalf("classic run: %v", err)
 	}
-	st, sf, _, _, err := chaosRun(script, 3, nil, 5, 2, 0, nil, true)
+	st, sf, _, _, err := chaosRun(script, 3, nil, 5, 2, nil, true)
 	if err != nil {
 		t.Fatalf("shared run: %v", err)
 	}
@@ -285,7 +285,7 @@ func TestSharedFaultSitesExercised(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		script := chaosScript(seed, 40, DefaultWorkloadSpec())
 		inj := fault.NewSeeded(seed, fault.DefaultRates())
-		if _, _, _, _, err := chaosRun(script, seed, inj, 5, 2, 0, nil, true); err != nil {
+		if _, _, _, _, err := chaosRun(script, seed, inj, 5, 2, nil, true); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for site, n := range inj.Fired() {

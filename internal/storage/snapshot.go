@@ -219,13 +219,18 @@ func ApplySnapshotDelta(db *DB, r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("storage: snapshot delta: %w", err)
 		}
-		key := tbl.Schema().Key
+		schema := tbl.Schema()
 		for _, enc := range td.Upserts {
 			row := make(Row, len(enc))
 			for i, d := range enc {
 				row[i] = fromDTO(d)
 			}
-			keyVals := row.Project(key)
+			// Validate before projecting the key: a damaged delta may carry
+			// a row too short to hold it.
+			if err := schema.CheckRow(row); err != nil {
+				return fmt.Errorf("storage: snapshot delta upsert in %s: %w", td.Name, err)
+			}
+			keyVals := row.Project(schema.Key)
 			if _, found := tbl.Get(keyVals...); found {
 				if _, err := tbl.Update(keyVals, row); err != nil {
 					return fmt.Errorf("storage: snapshot delta upsert in %s: %w", td.Name, err)

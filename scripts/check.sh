@@ -11,6 +11,12 @@ go vet ./...
 echo "==> go build"
 go build ./...
 
+# perfbench/ is its own module (replace abivm => ../), so the root build
+# does not compile it; vet it here so an API change cannot break the
+# benchmark unseen.
+echo "==> go vet (perfbench)"
+go -C perfbench vet ./...
+
 echo "==> abivmlint"
 go run ./cmd/abivmlint ./...
 
