@@ -3,6 +3,7 @@ package dataflow
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -431,12 +432,32 @@ func TestReleaseRefcounts(t *testing.T) {
 		t.Fatalf("three views built %d nodes, want 6", n)
 	}
 
+	// Trim walks g.order, which must list exactly the live nodes, in
+	// signature order, after every subscribe and release.
+	checkOrder := func(ctx string) {
+		t.Helper()
+		sigs := make([]string, 0, len(g.nodes))
+		for sig := range g.nodes {
+			sigs = append(sigs, sig)
+		}
+		sort.Strings(sigs)
+		got := make([]string, len(g.order))
+		for i, n := range g.order {
+			got[i] = n.sig()
+		}
+		if strings.Join(got, "\n") != strings.Join(sigs, "\n") {
+			t.Fatalf("%s: node order %q, want %q", ctx, got, sigs)
+		}
+	}
+	checkOrder("after subscribing")
+
 	// Releasing B drops only its projection; the shared join and scans
 	// stay for A.
 	g.Release(handles[1])
 	if n := g.Stats().Nodes; n != 5 {
 		t.Fatalf("after releasing B: %d nodes, want 5", n)
 	}
+	checkOrder("after releasing B")
 	if !g.Watches("sales") || !g.Watches("stations") {
 		t.Fatal("shared scans must survive releasing one of their views")
 	}
@@ -450,7 +471,9 @@ func TestReleaseRefcounts(t *testing.T) {
 		t.Fatal("sales scan leaked after its last view released")
 	}
 
+	checkOrder("after releasing A")
 	g.Release(handles[2])
+	checkOrder("after releasing C")
 	st := g.Stats()
 	if st.Nodes != 0 || st.Views != 0 {
 		t.Fatalf("graph not empty after all views released: %+v", st)
@@ -569,7 +592,7 @@ func TestTrimWatermark(t *testing.T) {
 		n := 0
 		for _, nd := range g.nodes {
 			if j, ok := nd.(*joinNode); ok {
-				n += len(j.lstate.entries) + len(j.rstate.entries)
+				n += j.lstate.size() + j.rstate.size()
 			}
 		}
 		return n

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,14 +29,14 @@ const (
 // into graph nodes, reusing any node whose signature is already
 // interned; Signatures renders the same tree for EXPLAIN output.
 type opSpec struct {
-	kind        opKind
-	sig         string
-	table       string   // opScan
-	conjs       []sql.Expr // opFilter, sorted canonically
+	kind         opKind
+	sig          string
+	table        string     // opScan
+	conjs        []sql.Expr // opFilter, sorted canonically
 	equiL, equiR []sql.Expr // opJoin equi-key pairs, aligned, sorted canonically
-	residual    []sql.Expr // opJoin non-equi conjuncts, sorted canonically
-	items       []sql.Expr // opProject, in SELECT order
-	left, right *opSpec
+	residual     []sql.Expr // opJoin non-equi conjuncts, sorted canonically
+	items        []sql.Expr // opProject, in SELECT order
+	left, right  *opSpec
 }
 
 // buildSpecs derives the canonical operator tree for a view plan:
@@ -226,6 +227,7 @@ func Signatures(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)
 type Graph struct {
 	db    *storage.DB
 	nodes map[string]node
+	order []node // the nodes sorted by signature: Trim's walk order
 	refs  map[string]int
 	scans map[string]*scanNode
 	hits  uint64
@@ -361,6 +363,7 @@ func (g *Graph) realize(s *opSpec, used *[]string) (node, error) {
 		return nil, fmt.Errorf("dataflow: unknown operator kind %d", s.kind)
 	}
 	g.nodes[s.sig] = n
+	g.order = slices.Insert(g.order, g.position(s.sig), n)
 	*used = append(*used, s.sig)
 	return n, nil
 }
@@ -379,8 +382,16 @@ func (g *Graph) sweepUnreferenced(used []string) {
 	}
 }
 
+// position returns the index of sig in the signature-ordered node list,
+// or where it would be inserted.
+func (g *Graph) position(sig string) int {
+	return sort.Search(len(g.order), func(i int) bool { return g.order[i].sig() >= sig })
+}
+
 func (g *Graph) drop(sig string, n node) {
 	n.detach()
+	i := g.position(sig)
+	g.order = slices.Delete(g.order, i, i+1)
 	delete(g.nodes, sig)
 	delete(g.refs, sig)
 	if sc, ok := n.(*scanNode); ok {
@@ -439,13 +450,8 @@ func (g *Graph) LogLen(table string) uint64 {
 // watermark are dropped, and join-side entries fully below it are
 // consolidated into net base entries.
 func (g *Graph) Trim(wm map[string]uint64) {
-	sigs := make([]string, 0, len(g.nodes))
-	for sig := range g.nodes {
-		sigs = append(sigs, sig)
-	}
-	sort.Strings(sigs)
-	for _, sig := range sigs {
-		g.nodes[sig].trim(wm)
+	for _, n := range g.order {
+		n.trim(wm)
 	}
 }
 

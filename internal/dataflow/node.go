@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -64,12 +65,12 @@ type nodeBase struct {
 	log       []Delta
 }
 
-func (n *nodeBase) sig() string        { return n.signature }
-func (n *nodeBase) tables() []string   { return n.tabs }
-func (n *nodeBase) cols() []exec.Col   { return n.schema }
-func (n *nodeBase) fanout() int        { return len(n.outs) }
-func (n *nodeBase) retained() []Delta  { return n.log }
-func (n *nodeBase) addOut(r receiver)  { n.outs = append(n.outs, r) }
+func (n *nodeBase) sig() string       { return n.signature }
+func (n *nodeBase) tables() []string  { return n.tabs }
+func (n *nodeBase) cols() []exec.Col  { return n.schema }
+func (n *nodeBase) fanout() int       { return len(n.outs) }
+func (n *nodeBase) retained() []Delta { return n.log }
+func (n *nodeBase) addOut(r receiver) { n.outs = append(n.outs, r) }
 func (n *nodeBase) removeOut(r receiver) {
 	for i, o := range n.outs {
 		if o == r {
@@ -115,10 +116,31 @@ func (n *nodeBase) trimLog(wm map[string]uint64) {
 			kept = append(kept, d)
 		}
 	}
-	for i := len(kept); i < len(n.log); i++ {
-		n.log[i] = Delta{}
+	clear(n.log[len(kept):])
+	n.log = release(kept, len(n.log))
+}
+
+// releaseMin is the capacity up to which release keeps a slice as is:
+// small slices are cheaper to keep than to regrow.
+const releaseMin = 256
+
+// release returns the capacity a burst left behind in a trimmed slice.
+// demand is the slice's length before the trim — what the last
+// checkpoint interval needed. A slice the trim emptied is dropped
+// outright; otherwise it is reallocated to demand once its capacity
+// exceeds four times that, i.e. at the first trim after a burst has
+// passed. Steady-state slices hold at most about twice their demand,
+// so they are never reallocated.
+func release[T any](s []T, demand int) []T {
+	switch c := cap(s); {
+	case c <= releaseMin:
+		return s
+	case len(s) == 0:
+		return nil
+	case c > 4*demand:
+		return append(make([]T, 0, demand), s...)
 	}
-	n.log = kept
+	return s
 }
 
 // scanNode is a base-table source. It mirrors the live table (base
@@ -265,7 +287,7 @@ func (f *filterNode) current() []weightedRow {
 	return out
 }
 
-func (f *filterNode) detach()                  { f.child.removeOut(f) }
+func (f *filterNode) detach()                   { f.child.removeOut(f) }
 func (f *filterNode) trim(wm map[string]uint64) { f.trimLog(wm) }
 
 // projectNode evaluates scalar select items.
@@ -309,7 +331,7 @@ func (p *projectNode) current() []weightedRow {
 	return out
 }
 
-func (p *projectNode) detach()                  { p.child.removeOut(p) }
+func (p *projectNode) detach()                   { p.child.removeOut(p) }
 func (p *projectNode) trim(wm map[string]uint64) { p.trimLog(wm) }
 
 // port disambiguates which input of a binary join a delta arrives on.
@@ -320,25 +342,241 @@ type port struct {
 
 func (p *port) onDelta(d Delta) { p.j.onSide(p.left, d) }
 
-// stateEntry is one retained input delta of a join side: the row, its
-// attribution, and its signed weight. Entries fully covered by the GC
-// watermark are consolidated into net coordinate-zero entries by trim.
+// stateEntry is one retained, still-attributed input delta of a join
+// side: the row, its attribution, and its signed weight.
 type stateEntry struct {
 	row   storage.Row
 	coord Coord
 	w     int64
 }
 
-// sideState is one join input's retained history plus a hash index on
-// the equi-join key.
-type sideState struct {
-	entries []stateEntry
-	index   map[string][]int
+// baseEntry is one coordinate-zero entry of a join bucket: a row whose
+// contributions are all below the GC watermark, netted to one weight.
+// h caches a hash of the row's key encoding; it is set only once the
+// bucket is hashed (see bucket.hashed).
+type baseEntry struct {
+	row storage.Row
+	w   int64
+	h   uint64
 }
 
-func (s *sideState) add(e stateEntry, key string) {
-	s.index[key] = append(s.index[key], len(s.entries))
-	s.entries = append(s.entries, e)
+// bucket is one equi-join key's retained state on one join side. The
+// base slice is always sized exactly to its length — append-doubling on
+// thousands of buckets would hold a large share of dead capacity — and
+// attributed entries wait in the separate delta slice until a trim
+// covers them.
+type bucket struct {
+	key    string
+	base   []baseEntry
+	delta  []stateEntry
+	hashed bool // base[i].h is valid; set on the bucket's first consolidation
+}
+
+// each calls fn on every retained entry, base then delta.
+func (b *bucket) each(fn func(row storage.Row, w int64)) {
+	for i := range b.base {
+		fn(b.base[i].row, b.base[i].w)
+	}
+	for i := range b.delta {
+		fn(b.delta[i].row, b.delta[i].w)
+	}
+}
+
+// sideState is one join input's retained history, bucketed by equi-join
+// key. dirty lists exactly the buckets holding attributed entries, in
+// first-touch order, so a trim visits only the keys that changed.
+type sideState struct {
+	tabs    []string // the input's tables, in coordinate order
+	zero    Coord    // the coordinate of every base entry, shared
+	buckets map[string]*bucket
+	dirty   []*bucket
+
+	// Consolidation scratch, reused across trims.
+	keyBuf, cmpBuf []byte
+	adds           []baseEntry
+}
+
+func newSideState(tabs []string) sideState {
+	return sideState{tabs: tabs, zero: make(Coord, len(tabs)), buckets: make(map[string]*bucket)}
+}
+
+// bucketFor returns the bucket of an encoded join key, creating it on
+// first use; the lookup itself does not allocate.
+func (s *sideState) bucketFor(key []byte) *bucket {
+	b := s.buckets[string(key)]
+	if b == nil {
+		b = &bucket{key: string(key)}
+		s.buckets[b.key] = b
+	}
+	return b
+}
+
+// seed installs a child's present output as coordinate-zero base
+// entries, sizing every bucket's base exactly. Rows are hashed lazily,
+// on a bucket's first consolidation, so seeding stays a single pass of
+// key encoding.
+func (s *sideState) seed(rows []weightedRow, keyFns []exec.Scalar) {
+	owner := make([]*bucket, len(rows))
+	sizes := make(map[*bucket]int)
+	var buf []byte
+	for i, wr := range rows {
+		buf = appendJoinKey(buf[:0], keyFns, wr.row)
+		owner[i] = s.bucketFor(buf)
+		sizes[owner[i]]++
+	}
+	for i, wr := range rows {
+		b := owner[i]
+		if b.base == nil {
+			b.base = make([]baseEntry, 0, sizes[b])
+		}
+		b.base = append(b.base, baseEntry{row: wr.row, w: wr.w})
+	}
+}
+
+// add appends an attributed entry to the bucket of its encoded key.
+func (s *sideState) add(key []byte, e stateEntry) {
+	b := s.bucketFor(key)
+	if len(b.delta) == 0 {
+		s.dirty = append(s.dirty, b)
+	}
+	b.delta = append(b.delta, e)
+}
+
+// consolidate nets every delta entry fully covered by the watermark
+// into its bucket's base — one entry per distinct row, rows whose
+// weights cancel dropped — and keeps uncovered entries verbatim. Safe
+// because every live cursor is at or above the watermark and new
+// subscribers start fully covered: nobody can ever distinguish a
+// covered entry's coordinate from zero again. Only dirty buckets are
+// visited. A bucket's base rows are hashed once; after that a base row
+// is encoded again only to confirm a hash match.
+func (s *sideState) consolidate(wm map[string]uint64) {
+	kept := s.dirty[:0]
+	for _, b := range s.dirty {
+		s.consolidateBucket(b, wm)
+		switch {
+		case len(b.delta) > 0:
+			kept = append(kept, b)
+		case len(b.base) == 0:
+			delete(s.buckets, b.key)
+		}
+	}
+	clear(s.dirty[len(kept):])
+	s.dirty = kept
+}
+
+func (s *sideState) consolidateBucket(b *bucket, wm map[string]uint64) {
+	live := b.delta[:0]
+	adds := s.adds[:0]
+	merged := false
+	for _, e := range b.delta {
+		if !e.coord.coveredBy(s.tabs, wm) {
+			live = append(live, e)
+			continue
+		}
+		if !b.hashed {
+			for i := range b.base {
+				s.keyBuf = storage.AppendKey(s.keyBuf[:0], b.base[i].row...)
+				b.base[i].h = hashKey(s.keyBuf)
+			}
+			b.hashed = true
+		}
+		merged = true
+		s.keyBuf = storage.AppendKey(s.keyBuf[:0], e.row...)
+		h := hashKey(s.keyBuf)
+		if i := s.match(b.base, h); i >= 0 {
+			b.base[i].w += e.w
+		} else if i := s.match(adds, h); i >= 0 {
+			adds[i].w += e.w
+		} else {
+			adds = append(adds, baseEntry{row: e.row, w: e.w, h: h})
+		}
+	}
+	clear(b.delta[len(live):])
+	b.delta = release(live, len(b.delta))
+	if merged {
+		b.base = mergeBase(b.base, adds)
+	}
+	clear(adds)
+	s.adds = release(adds[:0], len(adds))
+}
+
+// match returns the index of the entry whose row encodes to s.keyBuf
+// (hash h), or -1. The cached hash filters; the encodings confirm.
+func (s *sideState) match(es []baseEntry, h uint64) int {
+	for i := range es {
+		if es[i].h != h {
+			continue
+		}
+		s.cmpBuf = storage.AppendKey(s.cmpBuf[:0], es[i].row...)
+		if bytes.Equal(s.cmpBuf, s.keyBuf) {
+			return i
+		}
+	}
+	return -1
+}
+
+// mergeBase nets adds into base: new rows first take the slots of
+// cancelled base rows, so an update's retraction and insertion rewrite
+// one slot in place. Only when the row count changes is the base
+// reallocated, sized exactly.
+func mergeBase(base, adds []baseEntry) []baseEntry {
+	ai := 0
+	next := func() bool {
+		for ai < len(adds) && adds[ai].w == 0 {
+			ai++
+		}
+		return ai < len(adds)
+	}
+	n := 0
+	for i := range base {
+		if base[i].w == 0 && next() {
+			base[i] = adds[ai]
+			ai++
+		}
+		if base[i].w != 0 {
+			n++
+		}
+	}
+	grow := 0
+	for i := ai; i < len(adds); i++ {
+		if adds[i].w != 0 {
+			grow++
+		}
+	}
+	if grow == 0 && n == len(base) {
+		return base
+	}
+	if n+grow == 0 {
+		return nil
+	}
+	out := make([]baseEntry, 0, n+grow)
+	for _, src := range [2][]baseEntry{base, adds[ai:]} {
+		for i := range src {
+			if src[i].w != 0 {
+				out = append(out, src[i])
+			}
+		}
+	}
+	return out
+}
+
+// hashKey is 64-bit FNV-1a over a key encoding.
+func hashKey(key []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range key {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// appendJoinKey appends the EncodeKey encoding of r's equi-join key.
+func appendJoinKey(buf []byte, fns []exec.Scalar, r storage.Row) []byte {
+	for _, fn := range fns {
+		buf = storage.AppendKey(buf, fn(r))
+	}
+	return buf
 }
 
 // joinNode is a binary equi-join with optional residual predicates over
@@ -353,6 +591,7 @@ type joinNode struct {
 	lkeys, rkeys        []exec.Scalar
 	residual            []exec.Predicate
 	lstate, rstate      sideState
+	keyBuf              []byte // onSide's join-key scratch
 }
 
 func newJoinNode(sig string, left, right node, lkeys, rkeys []exec.Scalar, residual []exec.Predicate, cols []exec.Col) *joinNode {
@@ -370,31 +609,19 @@ func newJoinNode(sig string, left, right node, lkeys, rkeys []exec.Scalar, resid
 		lkeys:    lkeys,
 		rkeys:    rkeys,
 		residual: residual,
-		lstate:   sideState{index: make(map[string][]int)},
-		rstate:   sideState{index: make(map[string][]int)},
+		lstate:   newSideState(left.tables()),
+		rstate:   newSideState(right.tables()),
 	}
 	j.leftPort = &port{j: j, left: true}
 	j.rightPort = &port{j: j, left: false}
 	// Seed each side from the child's present output: the new node (and
 	// the one new view behind it) treats everything already there as
 	// covered at creation.
-	for _, wr := range left.current() {
-		j.lstate.add(stateEntry{row: wr.row, coord: make(Coord, len(left.tables())), w: wr.w}, j.key(j.lkeys, wr.row))
-	}
-	for _, wr := range right.current() {
-		j.rstate.add(stateEntry{row: wr.row, coord: make(Coord, len(right.tables())), w: wr.w}, j.key(j.rkeys, wr.row))
-	}
+	j.lstate.seed(left.current(), lkeys)
+	j.rstate.seed(right.current(), rkeys)
 	left.addOut(j.leftPort)
 	right.addOut(j.rightPort)
 	return j
-}
-
-func (j *joinNode) key(fns []exec.Scalar, r storage.Row) string {
-	vals := make([]storage.Value, len(fns))
-	for i, fn := range fns {
-		vals[i] = fn(r)
-	}
-	return storage.EncodeKey(vals...)
 }
 
 func (j *joinNode) pass(r storage.Row) bool {
@@ -407,47 +634,79 @@ func (j *joinNode) pass(r storage.Row) bool {
 }
 
 func (j *joinNode) onSide(left bool, d Delta) {
-	var own, other *sideState
-	var ownKeys []exec.Scalar
+	own, other, ownKeys := &j.rstate, &j.lstate, j.rkeys
 	if left {
 		own, other, ownKeys = &j.lstate, &j.rstate, j.lkeys
-	} else {
-		own, other, ownKeys = &j.rstate, &j.lstate, j.rkeys
 	}
-	key := j.key(ownKeys, d.Row)
-	for _, idx := range other.index[key] {
-		e := other.entries[idx]
-		var row storage.Row
-		var coord Coord
-		if left {
-			row = concatRows(d.Row, e.row)
-			coord = concatCoords(d.Coord, e.coord)
-		} else {
-			row = concatRows(e.row, d.Row)
-			coord = concatCoords(e.coord, d.Coord)
+	j.keyBuf = appendJoinKey(j.keyBuf[:0], ownKeys, d.Row)
+	if b := other.buckets[string(j.keyBuf)]; b != nil {
+		for i := range b.base {
+			j.probe(left, d, b.base[i].row, other.zero, b.base[i].w)
 		}
-		if !j.pass(row) {
-			continue
+		for i := range b.delta {
+			j.probe(left, d, b.delta[i].row, b.delta[i].coord, b.delta[i].w)
 		}
-		j.emit(Delta{Row: row, W: d.W * e.w, Coord: coord})
 	}
-	own.add(stateEntry{row: d.Row, coord: d.Coord, w: d.W}, key)
+	own.add(j.keyBuf, stateEntry{row: d.Row, coord: d.Coord, w: d.W})
 }
 
+// probe emits the join of delta d (arriving on the left input when
+// left is set) with one retained entry of the other side.
+func (j *joinNode) probe(left bool, d Delta, row storage.Row, coord Coord, w int64) {
+	var out storage.Row
+	var c Coord
+	if left {
+		out = concatRows(d.Row, row)
+		c = concatCoords(d.Coord, coord)
+	} else {
+		out = concatRows(row, d.Row)
+		c = concatCoords(coord, d.Coord)
+	}
+	if !j.pass(out) {
+		return
+	}
+	j.emit(Delta{Row: out, W: d.W * w, Coord: c})
+}
+
+// current walks the join keys in sorted order, so the snapshot is
+// deterministic, and nets equal rows: a side's attributed entries can
+// retract and re-insert a row its base already holds.
 func (j *joinNode) current() []weightedRow {
+	keys := make([]string, 0, len(j.lstate.buckets))
+	for k := range j.lstate.buckets {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
 	var out []weightedRow
-	for _, le := range j.lstate.entries {
-		key := j.key(j.lkeys, le.row)
-		for _, idx := range j.rstate.index[key] {
-			re := j.rstate.entries[idx]
-			row := concatRows(le.row, re.row)
-			if !j.pass(row) {
-				continue
-			}
-			out = append(out, weightedRow{row: row, w: le.w * re.w})
+	at := make(map[string]int)
+	for _, k := range keys {
+		rb := j.rstate.buckets[k]
+		if rb == nil {
+			continue
+		}
+		j.lstate.buckets[k].each(func(lrow storage.Row, lw int64) {
+			rb.each(func(rrow storage.Row, rw int64) {
+				row := concatRows(lrow, rrow)
+				if !j.pass(row) {
+					return
+				}
+				rk := storage.EncodeKey(row...)
+				if i, ok := at[rk]; ok {
+					out[i].w += lw * rw
+					return
+				}
+				at[rk] = len(out)
+				out = append(out, weightedRow{row: row, w: lw * rw})
+			})
+		})
+	}
+	net := out[:0]
+	for _, wr := range out {
+		if wr.w != 0 {
+			net = append(net, wr)
 		}
 	}
-	return out
+	return net
 }
 
 func (j *joinNode) detach() {
@@ -457,59 +716,6 @@ func (j *joinNode) detach() {
 
 func (j *joinNode) trim(wm map[string]uint64) {
 	j.trimLog(wm)
-	j.lstate.consolidate(j.left.tables(), wm, j.lkeys, j.key)
-	j.rstate.consolidate(j.right.tables(), wm, j.rkeys, j.key)
-}
-
-// consolidate nets every state entry fully covered by the watermark
-// into a single coordinate-zero base entry per distinct row (dropping
-// rows whose weights cancel), keeping uncovered entries verbatim. Safe
-// because every live cursor is at or above the watermark and new
-// subscribers start fully covered — nobody can ever distinguish a
-// covered entry's coordinate from zero again.
-func (s *sideState) consolidate(tabs []string, wm map[string]uint64, keyFns []exec.Scalar, keyOf func([]exec.Scalar, storage.Row) string) {
-	covered := 0
-	for _, e := range s.entries {
-		if e.coord.coveredBy(tabs, wm) {
-			covered++
-		}
-	}
-	if covered == 0 {
-		return
-	}
-	type baseEntry struct {
-		row storage.Row
-		w   int64
-	}
-	net := make(map[string]*baseEntry, covered)
-	order := make([]string, 0, covered)
-	var live []stateEntry
-	for _, e := range s.entries {
-		if !e.coord.coveredBy(tabs, wm) {
-			live = append(live, e)
-			continue
-		}
-		rk := storage.EncodeKey(e.row...)
-		b, ok := net[rk]
-		if !ok {
-			b = &baseEntry{row: e.row}
-			net[rk] = b
-			order = append(order, rk)
-		}
-		b.w += e.w
-	}
-	sort.Strings(order)
-	rebuilt := sideState{index: make(map[string][]int)}
-	zero := make(Coord, len(tabs))
-	for _, rk := range order {
-		b := net[rk]
-		if b.w == 0 {
-			continue
-		}
-		rebuilt.add(stateEntry{row: b.row, coord: zero, w: b.w}, keyOf(keyFns, b.row))
-	}
-	for _, e := range live {
-		rebuilt.add(e, keyOf(keyFns, e.row))
-	}
-	*s = rebuilt
+	j.lstate.consolidate(wm)
+	j.rstate.consolidate(wm)
 }

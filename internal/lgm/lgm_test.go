@@ -245,12 +245,18 @@ func TestPlanTransformsDoNotAliasInput(t *testing.T) {
 	lin1, _ := costfn.NewLinear(1, 2)
 	lin2, _ := costfn.NewLinear(2, 1)
 	in := randInstance(t, rng, []core.CostFunc{lin1, lin2}, 8, 4, 14)
-	p := randValidPlan(rng, in)
 
-	for name, transform := range map[string]func(*core.Instance, core.Plan) core.Plan{
-		"MakeLazyPlan": MakeLazyPlan,
-		"MakeLGMPlan":  MakeLGMPlan,
+	// A slice, not a map: each transform gets its own valid input plan,
+	// in a fixed order, since the loop body scribbles over its input.
+	for _, tc := range []struct {
+		name      string
+		transform func(*core.Instance, core.Plan) core.Plan
+	}{
+		{"MakeLazyPlan", MakeLazyPlan},
+		{"MakeLGMPlan", MakeLGMPlan},
 	} {
+		name, transform := tc.name, tc.transform
+		p := randValidPlan(rng, in)
 		q := transform(in, p.Clone())
 		snapshot := q.Clone()
 		// Scribble over the input plan's vectors.

@@ -175,11 +175,17 @@ func appendKey(dst []byte, v Value) []byte {
 // injective, so it is safe as a map key; for single-type prefixes it is
 // also order-preserving.
 func EncodeKey(vals ...Value) string {
-	var buf []byte
+	return string(AppendKey(nil, vals...))
+}
+
+// AppendKey appends the EncodeKey encoding of vals to dst and returns
+// the extended buffer, so hot paths can reuse one buffer instead of
+// allocating a key string per lookup.
+func AppendKey(dst []byte, vals ...Value) []byte {
 	for _, v := range vals {
-		buf = appendKey(buf, v)
+		dst = appendKey(dst, v)
 	}
-	return string(buf)
+	return dst
 }
 
 // Row is one tuple. Rows are positional; the schema maps names to

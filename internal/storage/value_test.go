@@ -112,6 +112,21 @@ func TestEncodeKeyInjective(t *testing.T) {
 	}
 }
 
+// TestAppendKeyExtendsBuffer checks that AppendKey appends exactly the
+// EncodeKey bytes after whatever the buffer held, and that a reused
+// buffer's old bytes do not leak into the next key.
+func TestAppendKeyExtendsBuffer(t *testing.T) {
+	vals := []Value{I(-3), F(2.5), S("x")}
+	buf := AppendKey([]byte("pre"), vals...)
+	if got, want := string(buf), "pre"+EncodeKey(vals...); got != want {
+		t.Fatalf("AppendKey = %q, want %q", got, want)
+	}
+	buf = AppendKey(buf[:0], I(7))
+	if string(buf) != EncodeKey(I(7)) {
+		t.Fatalf("reused buffer = %q, want %q", buf, EncodeKey(I(7)))
+	}
+}
+
 func TestEncodeKeyOrderPreservingInts(t *testing.T) {
 	vals := []int64{-1 << 40, -77, -1, 0, 1, 99, 1 << 40}
 	keys := make([]string, len(vals))
