@@ -403,8 +403,10 @@ func BenchmarkShardedStep(b *testing.B) {
 	pol.Jitter = 0
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			w, err := pubsub.NewShardedDemoWorkload(seed, shards, spec,
-				pubsub.SeededShardInjectors(seed, rates))
+			w, err := pubsub.NewDemoWorkload(pubsub.DemoConfig{
+				Seed: seed, Spec: spec, Shards: shards,
+				Injectors: pubsub.SeededShardInjectors(seed, rates),
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -431,7 +433,7 @@ func BenchmarkShardedStep(b *testing.B) {
 // changed rows. allocs/op is reported because the checkpoint path is the
 // durability hot path's dominant allocator.
 func BenchmarkCheckpointHeavy(b *testing.B) {
-	w, err := pubsub.NewDemoWorkloadSpec(1, pubsub.ScaledWorkloadSpec(8), nil)
+	w, err := pubsub.NewDemoWorkload(pubsub.DemoConfig{Seed: 1, Spec: pubsub.ScaledWorkloadSpec(8)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -454,7 +456,7 @@ func BenchmarkCheckpointHeavy(b *testing.B) {
 func BenchmarkDrainHotPath(b *testing.B) {
 	spec := pubsub.ScaledWorkloadSpec(4)
 	spec.NotifyEvery = 1
-	w, err := pubsub.NewDemoWorkloadSpec(1, spec, nil)
+	w, err := pubsub.NewDemoWorkload(pubsub.DemoConfig{Seed: 1, Spec: spec})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"abivm/internal/fault"
 	"abivm/internal/obs"
 	"abivm/internal/pubsub"
+	"abivm/internal/storage"
 	"abivm/internal/viewc"
 )
 
@@ -32,6 +33,7 @@ import (
 //	abivm serve -shards 4 -faults
 //	abivm serve -data-dir /var/lib/abivm -faults
 //	abivm serve -catalog examples/views.sql
+//	abivm serve -shared -shards 2 -catalog examples/views.sql
 func runServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
@@ -41,74 +43,41 @@ func runServe(ctx context.Context, args []string) error {
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	faults := fs.Bool("faults", false, "run the workload under seeded fault injection")
 	tracebuf := fs.Int("tracebuf", obs.DefaultTraceCapacity, "span ring-buffer capacity")
-	shards := fs.Int("shards", 0, "run the sharded broker runtime with this many shards over a 2*shards-region workload (0 = serial broker)")
+	shards := fs.Int("shards", 0, "run the sharded broker runtime with this many shards (0 = serial broker); the built-in workload widens to 2*shards regions")
 	dataDir := fs.String("data-dir", "", "persist each subscription's WAL and checkpoints under this directory (empty = in-memory durability)")
-	catalog := fs.String("catalog", "", "serve this views.sql catalog: compile every view and subscribe it instead of the built-in east/west pair (serial broker only)")
-	shared := fs.Bool("shared", false, "run the subscriptions on the shared delta-dataflow runtime: one hash-consed operator graph instead of per-view maintainers (serial broker, in-memory durability)")
+	catalog := fs.String("catalog", "", "serve this views.sql catalog: compile every view and subscribe it instead of the built-in east/west pair")
+	shared := fs.Bool("shared", false, "run the subscriptions on the shared delta-dataflow runtime: one hash-consed operator graph instead of per-view maintainers (in-memory durability)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *catalog != "" && *shards > 0 {
-		return fmt.Errorf("serve: -catalog currently runs on the serial broker; drop -shards")
+	cfg := pubsub.DemoConfig{Seed: *seed, Shards: *shards, Shared: *shared}
+	if *faults {
+		cfg.Injectors = pubsub.SeededShardInjectors(*seed, fault.DefaultRates())
 	}
-	if *shared && *shards > 0 {
-		return fmt.Errorf("serve: -shared currently runs on the serial broker; drop -shards")
-	}
-	if *shared && *dataDir != "" {
-		return fmt.Errorf("serve: -shared has no disk durability yet; drop -data-dir")
-	}
-	var opener durable.Opener
 	if *dataDir != "" {
-		opener = durable.DirOpener(*dataDir)
+		cfg.Opener = durable.DirOpener(*dataDir)
 	}
-
-	// Both runtimes expose the same stepping and health surface; the
-	// sharded path widens the workload to 2*shards regions so the
-	// assignment policy has subscriptions to spread.
-	var (
-		step   func() ([]pubsub.Notification, error)
-		health healthSource
-		setObs func(*obs.Registry, *obs.Tracer)
-	)
-	if *shards > 0 {
-		var factory func(int) fault.Injector
-		if *faults {
-			factory = pubsub.SeededShardInjectors(*seed, fault.DefaultRates())
-		}
-		w, err := pubsub.NewShardedDemoWorkloadDurable(*seed, *shards, pubsub.ScaledWorkloadSpec(2*(*shards)), factory, opener)
-		if err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		defer w.Close()
-		step, health, setObs = w.Step, w.Broker, w.Broker.SetObs
-	} else {
-		var inj fault.Injector
-		if *faults {
-			inj = fault.NewSeeded(*seed, fault.DefaultRates())
-		}
-		var w *pubsub.DemoWorkload
-		var err error
-		switch {
-		case *catalog != "":
-			w, err = catalogWorkload(*catalog, *seed, inj, opener, *shared)
-		case *shared:
-			w, err = pubsub.NewDemoWorkloadShared(*seed, pubsub.DefaultWorkloadSpec(), inj)
-		default:
-			w, err = pubsub.NewDemoWorkloadDurable(*seed, pubsub.DefaultWorkloadSpec(), inj, opener)
-		}
-		if err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		step, health, setObs = w.Step, w.Broker, w.Broker.SetObs
+	switch {
+	case *catalog != "":
+		cfg.Subscribe = catalogSubscriber(*catalog, *seed, *shared)
+	case *shards > 0:
+		// Widen the built-in workload so the assignment policy has
+		// subscriptions to spread.
+		cfg.Spec = pubsub.ScaledWorkloadSpec(2 * *shards)
 	}
+	w, err := pubsub.NewDemoWorkload(cfg)
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	defer w.Close()
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(*tracebuf)
-	setObs(reg, tr)
+	w.Broker.SetObs(reg, tr)
 
 	mux := obs.NewMux(obs.Options{
 		Registry: reg,
 		Tracer:   tr,
-		Health:   brokerHealth(health),
+		Health:   brokerHealth(w.Broker),
 		Pprof:    *pprofOn,
 	})
 	ln, err := net.Listen("tcp", *addr)
@@ -131,7 +100,7 @@ loop:
 		case err := <-serveErr:
 			return fmt.Errorf("serve: http server: %w", err)
 		case <-ticker.C:
-			if _, err := step(); err != nil {
+			if _, err := w.Step(); err != nil {
 				stepErr = fmt.Errorf("serve: workload step: %w", err)
 				break loop
 			}
@@ -151,53 +120,36 @@ loop:
 	return stepErr
 }
 
-// catalogWorkload builds the demo workload with subscriptions compiled
-// from a views.sql catalog instead of the built-in east/west pair: the
-// catalog is compiled against the demo database (delta plans, sandboxed
-// cost calibration, QoS from each statement's QOS clause) and every
-// compiled view is registered through SubscribeCompiled. The event
-// stream is the same seeded stations/sales stream the built-in demo
-// uses, so any catalog view over those tables sees live deltas.
-func catalogWorkload(path string, seed int64, inj fault.Injector, opener durable.Opener, shared bool) (*pubsub.DemoWorkload, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	spec := pubsub.DefaultWorkloadSpec()
-	db, err := pubsub.DemoDB(spec)
-	if err != nil {
-		return nil, err
-	}
-	views, err := viewc.CompileCatalog(db, string(src), viewc.Options{Seed: seed, Condition: pubsub.Every(5), Dataflow: shared})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("abivm serve: compiled %d views from %s\n", len(views), path)
-	return pubsub.NewDemoWorkloadOn(db, seed, spec, inj, opener, func(b *pubsub.Broker) error {
-		if shared {
-			if err := b.SetSharedDataflow(true); err != nil {
-				return err
-			}
+// catalogSubscriber subscribes views compiled from a views.sql catalog
+// instead of the built-in east/west pair: the catalog is compiled
+// against the demo database (delta plans, sandboxed cost calibration,
+// QoS from each statement's QOS clause) and every compiled view is
+// registered through SubscribeCompiled. The event stream is the same
+// seeded stations/sales stream the built-in demo uses, so any catalog
+// view over those tables sees live deltas.
+func catalogSubscriber(path string, seed int64, shared bool) func(*storage.DB, pubsub.Runtime) error {
+	return func(db *storage.DB, rt pubsub.Runtime) error {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
 		}
+		views, err := viewc.CompileCatalog(db, string(src), viewc.Options{Seed: seed, Condition: pubsub.Every(5), Dataflow: shared})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("abivm serve: compiled %d views from %s\n", len(views), path)
 		for _, cv := range views {
-			if err := b.SubscribeCompiled(cv); err != nil {
+			if err := rt.SubscribeCompiled(cv); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
-}
-
-// healthSource is the health surface the serial and sharded brokers
-// share: subscription names plus per-subscription health snapshots.
-type healthSource interface {
-	Subscriptions() []string
-	Health(name string) (pubsub.Health, error)
+	}
 }
 
 // brokerHealth aggregates per-subscription broker health into the
 // /healthz probe: healthy iff no subscription is degraded.
-func brokerHealth(b healthSource) obs.HealthFunc {
+func brokerHealth(b pubsub.Runtime) obs.HealthFunc {
 	return func() (any, bool) {
 		type subHealth struct {
 			Name string `json:"name"`

@@ -513,7 +513,7 @@ func TestCheckpointRecover(t *testing.T) {
 			if err := p.g.Ingest(tables[i], mod); err != nil {
 				t.Fatal(err)
 			}
-			if err := p.h.LogArrival(mod); err != nil {
+			if err := p.h.ApplyDeferred(mod); err != nil {
 				t.Fatal(err)
 			}
 		}

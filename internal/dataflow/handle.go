@@ -149,15 +149,22 @@ func (h *ViewHandle) hit(site fault.Site) error {
 	return h.inj.Hit(site)
 }
 
-// LogArrival records one accepted modification to the WAL — the shared
-// graph holds the modification itself; the record only preserves the
-// arrival order for post-checkpoint replay parity.
-func (h *ViewHandle) LogArrival(mod ivm.Mod) error {
+// ApplyDeferred records modifications the graph has already ingested
+// to the WAL — the shared graph holds the modifications themselves
+// (a view's pending set is its cursors against the ingest log); the
+// records only preserve the arrival order for post-checkpoint replay
+// parity. It mirrors ivm.Maintainer.ApplyDeferred, so a broker routes
+// to either engine through one method.
+func (h *ViewHandle) ApplyDeferred(mods ...ivm.Mod) error {
 	if h.wal == nil {
 		return nil
 	}
-	_, err := h.wal.Append(ivm.WALRecord{Kind: ivm.WALArrival, Mod: mod})
-	return err
+	for _, mod := range mods {
+		if _, err := h.wal.Append(ivm.WALRecord{Kind: ivm.WALArrival, Mod: mod}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Pending returns the per-table backlog sizes in alias order — the

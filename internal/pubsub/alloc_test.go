@@ -20,7 +20,7 @@ import (
 // empty vectors.
 func steppedBroker(t testing.TB, seed int64, steps int) *Broker {
 	t.Helper()
-	w, err := NewDemoWorkload(seed, fault.NewSeeded(seed, fault.DefaultRates()))
+	w, err := NewDemoWorkload(DemoConfig{Seed: seed, Injectors: SeededShardInjectors(seed, fault.DefaultRates())})
 	if err != nil {
 		t.Fatalf("NewDemoWorkload: %v", err)
 	}
@@ -29,7 +29,7 @@ func steppedBroker(t testing.TB, seed int64, steps int) *Broker {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
-	return w.Broker
+	return w.Broker.(*Broker)
 }
 
 func TestHealthIntoAllocFree(t *testing.T) {

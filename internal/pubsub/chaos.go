@@ -123,15 +123,12 @@ type chaosEvent struct {
 	mod   ivm.Mod
 }
 
-// chaosDB builds the legacy two-region base database.
-func chaosDB() (*storage.DB, error) {
-	return chaosDBSpec(DefaultWorkloadSpec())
-}
-
-// chaosDBSpec builds the deterministic base database of the chaos
-// workload — stations(stationkey, region) and sales(salekey, station,
-// amount) — sized by the spec.
-func chaosDBSpec(spec WorkloadSpec) (*storage.DB, error) {
+// DemoDB builds the deterministic base database of the demo and chaos
+// workloads — stations(stationkey, region) and sales(salekey, station,
+// amount), sized by the spec — without a broker on top. The compiler
+// front end calibrates catalog views against it, and tests use it to
+// hand-wire comparison brokers.
+func DemoDB(spec WorkloadSpec) (*storage.DB, error) {
 	db := storage.NewDB()
 	st, err := storage.NewSchema("stations", []storage.Column{
 		{Name: "stationkey", Type: storage.TInt},
@@ -177,7 +174,7 @@ func chaosDBSpec(spec WorkloadSpec) (*storage.DB, error) {
 // baseline and faulted runs see the exact same stream. The generator
 // itself lives in workload.go (eventGen), shared with the serve demo.
 func chaosScript(seed int64, steps int, spec WorkloadSpec) [][]chaosEvent {
-	g := newEventGenSpec(seed, spec)
+	g := newEventGen(seed, spec)
 	script := make([][]chaosEvent, steps)
 	for t := range script {
 		script[t] = g.step()
@@ -209,151 +206,93 @@ func regionQuery(region string) string {
 		WHERE s.station = st.stationkey AND st.region = '%s'`, region)
 }
 
-// chaosRun executes the scripted workload against a fresh broker under
-// the given injector and returns the rendered notification transcript,
-// the rendered final view contents, the degraded-notification count,
-// and (for a non-nil opener) the aggregated durability counters. The
-// retry jitter is seeded from the same seed as the workload, so the
-// backoff sequence is part of the reproducible execution, not noise.
-func chaosRun(script [][]chaosEvent, seed int64, inj fault.Injector, cpEvery, chainDepth int, opener durable.Opener, shared bool) (transcript, finals string, degraded int, stats durable.Stats, err error) {
-	db, err := chaosDB()
-	if err != nil {
-		return "", "", 0, stats, err
-	}
-	b := NewBroker(db)
-	b.setSleep(func(time.Duration) {})
-	b.SetRetrySeed(seed)
-	b.SetCheckpointEvery(cpEvery)
-	b.SetCheckpointChainDepth(chainDepth)
-	if opener != nil {
-		b.SetStoreOpener(opener)
-	}
-	if shared {
-		if err := b.SetSharedDataflow(true); err != nil {
-			return "", "", 0, stats, err
-		}
-	}
-	if inj != nil {
-		b.SetInjector(inj)
-	}
-	subs, err := demoSubscriptions()
-	if err != nil {
-		return "", "", 0, stats, err
-	}
-	for _, sc := range subs {
-		if err := b.Subscribe(sc); err != nil {
-			return "", "", 0, stats, err
-		}
-	}
-	var out strings.Builder
-	for t, evs := range script {
-		for _, ev := range evs {
-			if err := b.Publish(ev.table, ev.mod); err != nil {
-				return "", "", 0, stats, fmt.Errorf("step %d: publish %s: %w", t, ev.table, err)
-			}
-		}
-		ns, err := b.EndStep()
-		if err != nil {
-			return "", "", 0, stats, fmt.Errorf("step %d: %w", t, err)
-		}
-		for _, n := range ns {
-			if n.Degraded {
-				degraded++
-			} else if !core.ApproxLE(n.RefreshCost, chaosQoS) {
-				return "", "", 0, stats, fmt.Errorf("step %d: %s: non-degraded refresh cost %.6g > QoS %.6g",
-					t, n.Subscription, n.RefreshCost, chaosQoS)
-			}
-			fmt.Fprintf(&out, "step=%d sub=%s degraded=%v behind=%d over=%.9g cost=%.9g rows=%s\n",
-				n.Step, n.Subscription, n.Degraded, n.StepsBehind, n.CostOvershoot,
-				n.RefreshCost, renderRows(n.Rows))
-		}
-	}
-	var fin strings.Builder
-	for _, sc := range subs {
-		rows, err := b.Result(sc.Name)
-		if err != nil {
-			return "", "", 0, stats, err
-		}
-		fmt.Fprintf(&fin, "%s: %s\n", sc.Name, renderRows(rows))
-	}
-	return out.String(), fin.String(), degraded, b.DurabilityStats(), nil
-}
-
 // chaosSampleEvery is the cadence (in steps) of the mid-run cost/health
-// samples the sharded chaos run folds into its transcript.
+// samples a chaos run folds into its transcript.
 const chaosSampleEvery = 10
 
-// chaosRunSharded is chaosRun on the sharded runtime: the same scripted
-// workload against a fresh ShardedBroker, with per-shard injectors from
-// the factory (nil = fault-free baseline). Every chaosSampleEvery steps
-// it quiesces the shards and samples each subscription's accumulated
-// cost and pending vector into the transcript — reading them without the
-// quiesce would race the shard workers mid-drain and make the sample
-// depend on scheduling, exactly the bug the quiesce exists to prevent.
-func chaosRunSharded(script [][]chaosEvent, seed int64, shards int, spec WorkloadSpec, factory func(int) fault.Injector, cpEvery, chainDepth int, opener durable.Opener, shared bool) (transcript, finals string, degraded int, stats durable.Stats, err error) {
-	db, err := chaosDBSpec(spec)
+// chaosVariant is one configuration the chaos harness runs the script
+// under.
+type chaosVariant struct {
+	name string
+	// depth is the checkpoint-chain depth (0: a full base every
+	// checkpoint).
+	depth  int
+	shared bool
+	// injectors builds each shard's fault injector; nil runs fault-free.
+	injectors func(shard int) fault.Injector
+	opener    durable.Opener
+}
+
+// run executes the scripted workload under v on a fresh demo workload
+// (cfg's seed and shard count, spec's tables and subscriptions) and
+// returns chaosRun's renderings plus the aggregated durability
+// counters. The retry jitter is seeded from the same seed as the
+// workload, so the backoff sequence is part of the reproducible
+// execution, not noise.
+func (cfg ChaosConfig) run(v chaosVariant, spec WorkloadSpec, script [][]chaosEvent) (transcript, finals string, degraded int, stats durable.Stats, err error) {
+	w, err := NewDemoWorkload(DemoConfig{
+		Seed: cfg.Seed, Spec: spec, Shards: cfg.Shards, Shared: v.shared,
+		Injectors: v.injectors, Opener: v.opener,
+		Subscribe: func(_ *storage.DB, rt Runtime) error {
+			rt.setSleep(func(time.Duration) {})
+			rt.SetCheckpointEvery(cfg.CheckpointEvery)
+			rt.SetCheckpointChainDepth(v.depth)
+			return subscribeDemo(rt, spec)
+		},
+	})
 	if err != nil {
 		return "", "", 0, stats, err
 	}
-	sb := NewShardedBroker(db, ShardOptions{Shards: shards})
-	defer sb.Close()
-	sb.setSleep(func(time.Duration) {})
-	sb.SetRetrySeed(seed)
-	sb.SetCheckpointEvery(cpEvery)
-	sb.SetCheckpointChainDepth(chainDepth)
-	if opener != nil {
-		sb.SetStoreOpener(opener)
-	}
-	if shared {
-		if err := sb.SetSharedDataflow(true); err != nil {
-			return "", "", 0, stats, err
-		}
-	}
-	if factory != nil {
-		sb.SetInjectors(factory)
-	}
-	subs, err := demoSubscriptionsSpec(spec)
-	if err != nil {
-		return "", "", 0, stats, err
-	}
-	for _, sc := range subs {
-		if err := sb.Subscribe(sc); err != nil {
-			return "", "", 0, stats, err
-		}
-	}
+	defer w.Close()
+	transcript, finals, degraded, err = chaosRun(w.Broker, script)
+	return transcript, finals, degraded, w.Broker.DurabilityStats(), err
+}
+
+// chaosRun drives the scripted workload through rt and returns the
+// rendered transcript (notifications plus mid-run samples), the rendered
+// final view contents, and the degraded-notification count. Every
+// chaosSampleEvery steps it samples each subscription's accumulated cost
+// and pending vector. A sharded runtime is quiesced first: reading them
+// without the quiesce would race the shard workers mid-drain and make
+// the sample depend on scheduling, exactly the bug the quiesce exists to
+// prevent. On the serial broker the samples are plain reads.
+func chaosRun(rt Runtime, script [][]chaosEvent) (transcript, finals string, degraded int, err error) {
+	names := rt.Subscriptions()
 	var out strings.Builder
 	for t, evs := range script {
 		for _, ev := range evs {
-			if err := sb.Publish(ev.table, ev.mod); err != nil {
-				return "", "", 0, stats, fmt.Errorf("step %d: publish %s: %w", t, ev.table, err)
+			if err := rt.Publish(ev.table, ev.mod); err != nil {
+				return "", "", 0, fmt.Errorf("step %d: publish %s: %w", t, ev.table, err)
 			}
 		}
 		if (t+1)%chaosSampleEvery == 0 {
-			if err := sb.Quiesce(); err != nil {
-				return "", "", 0, stats, fmt.Errorf("step %d: quiesce: %w", t, err)
-			}
-			for _, sc := range subs {
-				cost, err := sb.TotalCost(sc.Name)
-				if err != nil {
-					return "", "", 0, stats, err
+			if q, ok := rt.(interface{ Quiesce() error }); ok {
+				if err := q.Quiesce(); err != nil {
+					return "", "", 0, fmt.Errorf("step %d: quiesce: %w", t, err)
 				}
-				h, err := sb.Health(sc.Name)
+			}
+			for _, name := range names {
+				cost, err := rt.TotalCost(name)
 				if err != nil {
-					return "", "", 0, stats, err
+					return "", "", 0, err
+				}
+				h, err := rt.Health(name)
+				if err != nil {
+					return "", "", 0, err
 				}
 				fmt.Fprintf(&out, "sample step=%d sub=%s cost=%.9g pending=%v\n",
-					t, sc.Name, cost, h.Pending)
+					t, name, cost, h.Pending)
 			}
 		}
-		ns, err := sb.EndStep()
+		ns, err := rt.EndStep()
 		if err != nil {
-			return "", "", 0, stats, fmt.Errorf("step %d: %w", t, err)
+			return "", "", 0, fmt.Errorf("step %d: %w", t, err)
 		}
 		for _, n := range ns {
 			if n.Degraded {
 				degraded++
 			} else if !core.ApproxLE(n.RefreshCost, chaosQoS) {
-				return "", "", 0, stats, fmt.Errorf("step %d: %s: non-degraded refresh cost %.6g > QoS %.6g",
+				return "", "", 0, fmt.Errorf("step %d: %s: non-degraded refresh cost %.6g > QoS %.6g",
 					t, n.Subscription, n.RefreshCost, chaosQoS)
 			}
 			fmt.Fprintf(&out, "step=%d sub=%s degraded=%v behind=%d over=%.9g cost=%.9g rows=%s\n",
@@ -362,14 +301,14 @@ func chaosRunSharded(script [][]chaosEvent, seed int64, shards int, spec Workloa
 		}
 	}
 	var fin strings.Builder
-	for _, sc := range subs {
-		rows, err := sb.Result(sc.Name)
+	for _, name := range names {
+		rows, err := rt.Result(name)
 		if err != nil {
-			return "", "", 0, stats, err
+			return "", "", 0, err
 		}
-		fmt.Fprintf(&fin, "%s: %s\n", sc.Name, renderRows(rows))
+		fmt.Fprintf(&fin, "%s: %s\n", name, renderRows(rows))
 	}
-	return out.String(), fin.String(), degraded, sb.DurabilityStats(), nil
+	return out.String(), fin.String(), degraded, nil
 }
 
 // renderRows renders rows canonically for byte comparison.
@@ -392,12 +331,15 @@ func chaosChainDepth(cfg ChaosConfig) int {
 }
 
 // RunChaos runs the seeded workload fault-free once and faulted once per
-// recovery variant — full checkpoints (chain depth 0), an incremental
-// delta chain that rolls over at its depth, and optionally the same
-// chain on disk — and compares every execution byte for byte. The fault schedule is
-// identical across variants (checkpoint layout never changes which sites
-// are polled), so any divergence isolates a bug in that variant's
-// recovery path. All injectors are seeded from the workload seed, so the
+// recovery variant — full checkpoints (chain depth 0) and an incremental
+// delta chain that rolls over at its depth on the serial broker, the
+// chain on cfg.Shards shards in sharded mode, and optionally the shared
+// engine and the chain on disk — and compares every execution byte for
+// byte. The fault schedule is identical across variants (neither
+// checkpoint layout nor engine changes which sites are polled), so any
+// divergence isolates a bug in that variant's recovery path. Each shard
+// carries its own seeded fault stream, shard 0's equal to the serial
+// broker's; every injector is seeded from the workload seed, so the
 // whole comparison is reproducible from one integer (plus, in sharded
 // mode, the shard count).
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
@@ -416,97 +358,107 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.MediaRates == (fault.MediaRates{}) {
 		cfg.MediaRates = fault.DefaultMediaRates()
 	}
+	// Serial mode runs the legacy east/west workload; sharded mode widens
+	// it to two regions per shard.
+	spec, prefix, label := DefaultWorkloadSpec(), "", fmt.Sprintf("chaos seed %d", cfg.Seed)
 	if cfg.Shards > 0 {
-		return runChaosSharded(cfg)
+		spec, prefix = ScaledWorkloadSpec(2*cfg.Shards), "sharded-"
+		label += fmt.Sprintf(" shards %d", cfg.Shards)
 	}
-	script := chaosScript(cfg.Seed, cfg.Steps, DefaultWorkloadSpec())
+	script := chaosScript(cfg.Seed, cfg.Steps, spec)
 	depth := chaosChainDepth(cfg)
 
 	// The baseline runs with the incremental variant's depth: a
 	// fault-free run's observable output must not depend on checkpoint
 	// layout at all, so comparing it against every variant also proves
 	// the chain shape alone perturbs nothing.
-	baseT, baseF, _, _, err := chaosRun(script, cfg.Seed, nil, cfg.CheckpointEvery, depth, nil, false)
+	baseT, baseF, _, _, err := cfg.run(chaosVariant{depth: depth}, spec, script)
 	if err != nil {
-		return nil, fmt.Errorf("chaos seed %d: baseline run: %w", cfg.Seed, err)
+		return nil, fmt.Errorf("%s: baseline run: %w", label, err)
+	}
+	rep := &ChaosReport{Seed: cfg.Seed, Steps: cfg.Steps, Shards: cfg.Shards, Identical: true}
+	for _, line := range strings.Split(baseT, "\n") {
+		if line != "" && !strings.HasPrefix(line, "sample ") {
+			rep.Notifications++
+		}
+	}
+	diverged := func(name, why, t, f string) {
+		rep.Identical = false
+		if rep.Diff == "" {
+			rep.Diff = name + why + firstDiff(baseT+baseF, t+f)
+		}
 	}
 
-	type variant struct {
-		name   string
-		depth  int
-		opener durable.Opener
+	// Every faulted variant sees the same fault schedule; the report
+	// counts it once, from the injectors the first variant's factory
+	// hands out (called sequentially at setup, before any faulted work,
+	// so the append does not race the shard workers).
+	faults := SeededShardInjectors(cfg.Seed, cfg.Rates)
+	var counted []*fault.Seeded
+	countFaults := func(shard int) fault.Injector {
+		inj := faults(shard).(*fault.Seeded)
+		counted = append(counted, inj)
+		return inj
 	}
-	variants := []variant{
-		{"full", 0, nil},
-		{fmt.Sprintf("incremental(depth=%d)", depth), depth, nil},
+	variants := []chaosVariant{
+		{name: "full", depth: 0, injectors: countFaults},
+		{name: fmt.Sprintf("incremental(depth=%d)", depth), depth: depth, injectors: faults},
+	}
+	if cfg.Shards > 0 {
+		variants = []chaosVariant{{name: fmt.Sprintf("sharded(depth=%d)", depth), depth: depth, injectors: countFaults}}
+	}
+	var shared, disk []chaosVariant
+	if cfg.Shared {
+		// The same workload on the hash-consed operator graph: fault-free
+		// first (engine equivalence alone), then faulted (crash recovery
+		// restores each view's sink from its snapshot plus WAL while the
+		// graph itself carries on).
+		shared = []chaosVariant{
+			{name: prefix + "shared", depth: depth, shared: true},
+			{name: prefix + "shared-faulted", depth: depth, shared: true, injectors: faults},
+		}
 	}
 	if cfg.Disk {
 		// The clean-disk variant must be byte-identical like the in-memory
 		// ones: with intact files, disk recovery is an exact redo.
-		variants = append(variants, variant{fmt.Sprintf("disk(depth=%d)", depth), depth, cfg.diskOpener("disk", nil)})
+		disk = []chaosVariant{{name: fmt.Sprintf("%sdisk(depth=%d)", prefix, depth), depth: depth,
+			injectors: faults, opener: cfg.diskOpener("disk", nil)}}
 	}
-	rep := &ChaosReport{
-		Seed:          cfg.Seed,
-		Steps:         cfg.Steps,
-		Notifications: strings.Count(baseT, "\n"),
-		Identical:     true,
+	// The two modes have always listed these in different orders; keep
+	// each mode's variants column stable across releases.
+	if cfg.Shards > 0 {
+		variants = append(append(variants, shared...), disk...)
+	} else {
+		variants = append(append(variants, disk...), shared...)
 	}
-	for _, v := range variants {
+	for i, v := range variants {
 		rep.Variants = append(rep.Variants, v.name)
-		inj := fault.NewSeeded(cfg.Seed, cfg.Rates)
-		faultT, faultF, degraded, _, err := chaosRun(script, cfg.Seed, inj, cfg.CheckpointEvery, v.depth, v.opener, false)
+		t, f, degraded, _, err := cfg.run(v, spec, script)
 		if err != nil {
-			return nil, fmt.Errorf("chaos seed %d: %s run: %w", cfg.Seed, v.name, err)
+			return nil, fmt.Errorf("%s: %s run: %w", label, v.name, err)
 		}
-		// Every variant sees the same fault schedule; report the counts
-		// once, from the first variant's injector.
-		if rep.Faults == nil {
-			rep.Faults = inj.Fired()
-			rep.TotalFaults = inj.Total()
+		if i == 0 {
 			rep.Degraded = degraded
-		}
-		if baseT != faultT || baseF != faultF {
-			rep.Identical = false
-			if rep.Diff == "" {
-				rep.Diff = v.name + " variant: " + firstDiff(baseT+baseF, faultT+faultF)
-			}
-		}
-	}
-	if cfg.Shared {
-		// Shared-dataflow variants: the same workload on the hash-consed
-		// operator graph. Fault-free first (runtime equivalence alone),
-		// then faulted (crash recovery restores each view's sink from its
-		// snapshot plus WAL while the graph itself carries on).
-		for _, v := range []struct {
-			name    string
-			faulted bool
-		}{{"shared", false}, {"shared-faulted", true}} {
-			rep.Variants = append(rep.Variants, v.name)
-			var inj fault.Injector
-			if v.faulted {
-				inj = fault.NewSeeded(cfg.Seed, cfg.Rates)
-			}
-			sT, sF, _, _, err := chaosRun(script, cfg.Seed, inj, cfg.CheckpointEvery, depth, nil, true)
-			if err != nil {
-				return nil, fmt.Errorf("chaos seed %d: %s run: %w", cfg.Seed, v.name, err)
-			}
-			if baseT != sT || baseF != sF {
-				rep.Identical = false
-				if rep.Diff == "" {
-					rep.Diff = v.name + " variant: " + firstDiff(baseT+baseF, sT+sF)
+			rep.Faults = map[fault.Site]int{}
+			for _, inj := range counted {
+				for site, n := range inj.Fired() {
+					rep.Faults[site] += n
 				}
+				rep.TotalFaults += inj.Total()
 			}
+		}
+		if t != baseT || f != baseF {
+			diverged(v.name, " variant: ", t, f)
 		}
 	}
 	if cfg.DiskFaults {
-		name := fmt.Sprintf("disk-faulted(depth=%d)", depth)
+		name := fmt.Sprintf("%sdisk-faulted(depth=%d)", prefix, depth)
 		rep.Variants = append(rep.Variants, name)
 		var medias []*fault.Media
 		opener := trackedOpener(cfg.diskOpener("disk-faulted", &cfg.MediaRates), &medias)
-		inj := fault.NewSeeded(cfg.Seed, cfg.Rates)
-		faultT, faultF, _, stats, err := chaosRun(script, cfg.Seed, inj, cfg.CheckpointEvery, depth, opener, false)
+		t, f, _, stats, err := cfg.run(chaosVariant{name: name, depth: depth, injectors: faults, opener: opener}, spec, script)
 		if err != nil {
-			return nil, fmt.Errorf("chaos seed %d: %s run: %w", cfg.Seed, name, err)
+			return nil, fmt.Errorf("%s: %s run: %w", label, name, err)
 		}
 		rep.DiskStats = stats
 		rep.MediaFaults = map[fault.MediaFault]int{}
@@ -516,16 +468,13 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			}
 			rep.TotalMediaFaults += m.Total()
 		}
-		rep.DiskExact = faultT == baseT && faultF == baseF
+		rep.DiskExact = t == baseT && f == baseF
 		// Divergence is acceptable only when the run degraded loudly: at
 		// least one recovery gave up on the damaged artifacts and rebuilt
 		// from the live tables, counting the corruption as it went. A
 		// divergence with zero fallbacks is silent data loss.
 		if !rep.DiskExact && stats.Fallbacks == 0 {
-			rep.Identical = false
-			if rep.Diff == "" {
-				rep.Diff = name + " variant diverged without a fallback: " + firstDiff(baseT+baseF, faultT+faultF)
-			}
+			diverged(name, " variant diverged without a fallback: ", t, f)
 		}
 	}
 	return rep, nil
@@ -563,129 +512,6 @@ func trackedOpener(open durable.Opener, medias *[]*fault.Media) durable.Opener {
 		}
 		return st, err
 	}
-}
-
-// runChaosSharded is the sharded-mode comparison: baseline and faulted
-// runs on cfg.Shards shards over a 2·Shards-region workload, each shard
-// carrying an independent seeded fault stream. The transcripts include
-// the quiesced mid-run samples, so the comparison also proves the
-// sampled costs and pending vectors are schedule-independent.
-func runChaosSharded(cfg ChaosConfig) (*ChaosReport, error) {
-	spec := ScaledWorkloadSpec(2 * cfg.Shards)
-	script := chaosScript(cfg.Seed, cfg.Steps, spec)
-	depth := chaosChainDepth(cfg)
-
-	baseT, baseF, _, _, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, nil, cfg.CheckpointEvery, depth, nil, false)
-	if err != nil {
-		return nil, fmt.Errorf("chaos seed %d shards %d: baseline run: %w", cfg.Seed, cfg.Shards, err)
-	}
-	// Track the injectors the factory hands out so the report can
-	// aggregate fault counts across shards. SetInjectors calls the
-	// factory sequentially under the broker lock, before any faulted
-	// work, so the append does not race the workers.
-	var injs []*fault.Seeded
-	base := SeededShardInjectors(cfg.Seed, cfg.Rates)
-	factory := func(shard int) fault.Injector {
-		inj := base(shard).(*fault.Seeded)
-		injs = append(injs, inj)
-		return inj
-	}
-	faultT, faultF, degraded, _, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, factory, cfg.CheckpointEvery, depth, nil, false)
-	if err != nil {
-		return nil, fmt.Errorf("chaos seed %d shards %d: faulted run: %w", cfg.Seed, cfg.Shards, err)
-	}
-
-	rep := &ChaosReport{
-		Seed:      cfg.Seed,
-		Steps:     cfg.Steps,
-		Shards:    cfg.Shards,
-		Faults:    map[fault.Site]int{},
-		Degraded:  degraded,
-		Variants:  []string{fmt.Sprintf("sharded(depth=%d)", depth)},
-		Identical: baseT == faultT && baseF == faultF,
-	}
-	for _, line := range strings.Split(baseT, "\n") {
-		if line != "" && !strings.HasPrefix(line, "sample ") {
-			rep.Notifications++
-		}
-	}
-	for _, inj := range injs {
-		for site, n := range inj.Fired() {
-			rep.Faults[site] += n
-		}
-		rep.TotalFaults += inj.Total()
-	}
-	if !rep.Identical {
-		rep.Diff = firstDiff(baseT+baseF, faultT+faultF)
-	}
-	if cfg.Shared {
-		// Sharded shared-dataflow variants: each shard builds its own
-		// operator graph over the views it hosts; fault-free and faulted
-		// runs must both match the classic sharded baseline.
-		for _, v := range []struct {
-			name    string
-			factory func(int) fault.Injector
-		}{
-			{"sharded-shared", nil},
-			{"sharded-shared-faulted", SeededShardInjectors(cfg.Seed, cfg.Rates)},
-		} {
-			rep.Variants = append(rep.Variants, v.name)
-			sT, sF, _, _, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, v.factory, cfg.CheckpointEvery, depth, nil, true)
-			if err != nil {
-				return nil, fmt.Errorf("chaos seed %d shards %d: %s run: %w", cfg.Seed, cfg.Shards, v.name, err)
-			}
-			if baseT != sT || baseF != sF {
-				rep.Identical = false
-				if rep.Diff == "" {
-					rep.Diff = v.name + " variant: " + firstDiff(baseT+baseF, sT+sF)
-				}
-			}
-		}
-	}
-	if cfg.Disk {
-		// Clean-disk sharded variant: per-store media-free files, the
-		// same per-shard fault schedule, byte-identity required. Each
-		// store's damage and recovery is keyed to its own namespace, so
-		// shard scheduling cannot perturb the outcome.
-		name := fmt.Sprintf("sharded-disk(depth=%d)", depth)
-		rep.Variants = append(rep.Variants, name)
-		dT, dF, _, _, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, SeededShardInjectors(cfg.Seed, cfg.Rates), cfg.CheckpointEvery, depth, cfg.diskOpener("disk", nil), false)
-		if err != nil {
-			return nil, fmt.Errorf("chaos seed %d shards %d: %s run: %w", cfg.Seed, cfg.Shards, name, err)
-		}
-		if baseT != dT || baseF != dF {
-			rep.Identical = false
-			if rep.Diff == "" {
-				rep.Diff = name + " variant: " + firstDiff(baseT+baseF, dT+dF)
-			}
-		}
-	}
-	if cfg.DiskFaults {
-		name := fmt.Sprintf("sharded-disk-faulted(depth=%d)", depth)
-		rep.Variants = append(rep.Variants, name)
-		var medias []*fault.Media
-		opener := trackedOpener(cfg.diskOpener("disk-faulted", &cfg.MediaRates), &medias)
-		fT, fF, _, stats, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, SeededShardInjectors(cfg.Seed, cfg.Rates), cfg.CheckpointEvery, depth, opener, false)
-		if err != nil {
-			return nil, fmt.Errorf("chaos seed %d shards %d: %s run: %w", cfg.Seed, cfg.Shards, name, err)
-		}
-		rep.DiskStats = stats
-		rep.MediaFaults = map[fault.MediaFault]int{}
-		for _, m := range medias {
-			for kind, n := range m.Fired() {
-				rep.MediaFaults[kind] += n
-			}
-			rep.TotalMediaFaults += m.Total()
-		}
-		rep.DiskExact = fT == baseT && fF == baseF
-		if !rep.DiskExact && stats.Fallbacks == 0 {
-			rep.Identical = false
-			if rep.Diff == "" {
-				rep.Diff = name + " variant diverged without a fallback: " + firstDiff(baseT+baseF, fT+fF)
-			}
-		}
-	}
-	return rep, nil
 }
 
 // firstDiff excerpts the first divergence between two transcripts.

@@ -1,6 +1,8 @@
 package pubsub
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -20,6 +22,10 @@ func TestPublishToNonexistentTable(t *testing.T) {
 	err := b.Publish("ghost", ivm.Insert("", storage.Row{storage.I(1)}))
 	if err == nil || !strings.Contains(err.Error(), "ghost") {
 		t.Fatalf("publish to missing table: err = %v, want error naming the table", err)
+	}
+	// Unknown table names must not accumulate in the routing cache.
+	if len(b.routes) != 0 {
+		t.Errorf("routing cache holds %d entries after a publish to a missing table", len(b.routes))
 	}
 	// The failed publish left the broker usable: a real publish still
 	// routes and the step closes cleanly.
@@ -158,4 +164,119 @@ func TestEndStepAfterFailedStepLeavesStateUnchanged(t *testing.T) {
 	if rowsText(got[0].Rows) != rowsText(check.Result()) {
 		t.Errorf("post-recovery notification %v, ground truth %v", got[0].Rows, check.Result())
 	}
+}
+
+// TestPublishAtomicityAcrossRuntimes: on every broker × engine cell, a
+// publish the live table rejects — a duplicate-key insert, a
+// key-changing update of a watched table, a delete of a missing key —
+// returns an error and leaves no trace. The live tables, every
+// subscription's pending vector and WAL length, and the next step's
+// notifications must match a twin broker that never saw the failed
+// publishes.
+func TestPublishAtomicityAcrossRuntimes(t *testing.T) {
+	spec := DefaultWorkloadSpec()
+	spec.NotifyEvery = 1
+	const fresh, missing = 100000, 100001
+	failing := []struct {
+		name  string
+		table string
+		mod   ivm.Mod
+	}{
+		{"duplicate insert", "sales", ivm.Insert("", storage.Row{storage.I(fresh), storage.I(0), storage.F(3)})},
+		{"key-changing update", "stations", ivm.Update("", []storage.Value{storage.I(1)}, storage.Row{storage.I(999), storage.S("EAST")})},
+		{"missing delete", "sales", ivm.Delete("", storage.I(missing))},
+	}
+	for _, shards := range []int{0, 2} {
+		for _, shared := range []bool{false, true} {
+			shards, shared := shards, shared
+			t.Run(fmt.Sprintf("shards=%d/shared=%v", shards, shared), func(t *testing.T) {
+				open := func() (*DemoWorkload, *storage.DB) {
+					var db *storage.DB
+					w, err := NewDemoWorkload(DemoConfig{
+						Seed: 4, Spec: spec, Shards: shards, Shared: shared,
+						Subscribe: func(d *storage.DB, rt Runtime) error {
+							db = d
+							return subscribeDemo(rt, spec)
+						},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(w.Close)
+					return w, db
+				}
+				got, gotDB := open()
+				want, wantDB := open()
+				for _, w := range []*DemoWorkload{got, want} {
+					for i := 0; i < 6; i++ {
+						if _, err := w.Step(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					// A routed, not yet drained modification the failed
+					// publishes must not disturb.
+					if err := w.Broker.Publish("sales", failing[0].mod); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, f := range failing {
+					if err := got.Broker.Publish(f.table, f.mod); err == nil {
+						t.Fatalf("%s: publish succeeded", f.name)
+					}
+					if g, w := brokerState(t, got.Broker, gotDB), brokerState(t, want.Broker, wantDB); g != w {
+						t.Fatalf("%s left a trace:\n%s", f.name, firstDiff(w, g))
+					}
+				}
+				next := func(w *DemoWorkload) string {
+					ns, err := w.Broker.EndStep()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(ns) == 0 {
+						t.Fatal("no notifications — vacuous comparison")
+					}
+					var out strings.Builder
+					renderNotes(&out, ns)
+					return out.String()
+				}
+				if g, w := next(got), next(want); g != w {
+					t.Fatalf("next step's notifications diverged:\n%s", firstDiff(w, g))
+				}
+			})
+		}
+	}
+}
+
+// brokerState renders the live tables and every subscription's pending
+// vector and WAL length, quiescing a sharded runtime first so the
+// pending vectors do not depend on worker timing.
+func brokerState(t *testing.T, rt Runtime, db *storage.DB) string {
+	t.Helper()
+	if q, ok := rt.(interface{ Quiesce() error }); ok {
+		if err := q.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out strings.Builder
+	for _, name := range []string{"sales", "stations"} {
+		tbl, err := db.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		tbl.Scan(func(r storage.Row) bool {
+			rows = append(rows, storage.EncodeKey(r...))
+			return true
+		})
+		sort.Strings(rows)
+		fmt.Fprintf(&out, "%s: %s\n", name, strings.Join(rows, "|"))
+	}
+	for _, name := range rt.Subscriptions() {
+		h, err := rt.Health(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "%s: pending=%v wal=%d\n", name, h.Pending, h.WALRecords)
+	}
+	return out.String()
 }

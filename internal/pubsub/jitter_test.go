@@ -59,7 +59,7 @@ func TestBackoffJitterSeeded(t *testing.T) {
 // retry loop requested.
 func sleepTrace(t *testing.T, seed int64, steps int) []time.Duration {
 	t.Helper()
-	w, err := NewDemoWorkload(seed, fault.NewSeeded(seed, fault.DefaultRates()))
+	w, err := NewDemoWorkload(DemoConfig{Seed: seed, Injectors: SeededShardInjectors(seed, fault.DefaultRates())})
 	if err != nil {
 		t.Fatal(err)
 	}

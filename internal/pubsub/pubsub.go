@@ -109,7 +109,6 @@ type sub struct {
 	m        *ivm.Maintainer
 	h        *dataflow.ViewHandle
 	pol      policy.Policy
-	aliasIdx map[string]int
 	stepMods core.Vector
 	total    float64
 
@@ -171,6 +170,12 @@ type Broker struct {
 	shared *dataflow.Graph
 	// trimWM is trimShared's watermark map, reused across checkpoints.
 	trimWM map[string]uint64
+
+	// routes caches table → watching subscriptions (see targets); reset
+	// whenever the subscription set changes. modBuf is route's
+	// one-element scratch for the engines' variadic ApplyDeferred.
+	routes map[string][]target
+	modBuf [1]ivm.Mod
 
 	// pendPool recycles the scratch vectors behind the shared-lock read
 	// paths (backlogCost, HealthInto); pooling instead of a single broker
@@ -314,71 +319,96 @@ func (b *Broker) Subscribe(cfg Subscription) error {
 			return fmt.Errorf("pubsub: duplicate subscription %q", cfg.Name)
 		}
 	}
-	// The durability namespace ("<shard>/<name>" under a sharded broker,
-	// "<name>" standalone) names the recovery point whichever runtime
-	// backs the view.
-	ns := cfg.Name
-	if b.ns != "" {
-		ns = b.ns + "/" + cfg.Name
-	}
-	if b.shared != nil {
-		s, err := b.subscribeShared(cfg, ns)
-		if err != nil {
-			return err
-		}
-		s.h.SetInjector(b.inj)
-		b.wireSub(s)
-		b.subs = append(b.subs, s)
-		return nil
-	}
-	m, err := ivm.New(b.db, cfg.Query)
+	s, err := b.newSub(cfg)
 	if err != nil {
 		return fmt.Errorf("pubsub: subscription %q: %w", cfg.Name, err)
 	}
-	n := len(m.Aliases())
-	if cfg.Model.N() != n {
-		return fmt.Errorf("pubsub: subscription %q: model covers %d tables, view has %d", cfg.Name, cfg.Model.N(), n)
-	}
-	pol := cfg.Policy
-	if pol == nil {
-		pol = policy.NewOnlineMarginal(cfg.Model, cfg.QoS, nil)
-	}
-	pol.Reset(n)
-	s := &sub{
-		cfg: cfg, m: m, pol: pol,
-		aliasIdx: map[string]int{}, stepMods: core.NewVector(n),
-		wal: ivm.NewWAL(), lastFresh: b.step,
-	}
-	for i, a := range m.Aliases() {
-		s.aliasIdx[a] = i
-	}
-	// Durability from the first step: attach the redo log, stamp the
-	// durability namespace, and take the initial checkpoint, so a crash
-	// at any later point has a recovery point whose ownership is
-	// verifiable. The injector is attached only after the checkpoint —
-	// the subscription must be born with a consistent recovery baseline.
-	m.AttachWAL(s.wal)
-	m.SetNamespace(ns)
-	s.chain = ivm.NewCheckpointChain(b.chainDepth)
-	// Disk-backed durability attaches before the initial checkpoint: the
-	// store becomes the WAL's sink and the chain's segment store, so the
-	// subscription's very first base segment already lands on disk and a
-	// crash before the first step recovers from files.
-	if b.opener != nil {
-		store, err := b.opener(ns)
-		if err != nil {
-			return fmt.Errorf("pubsub: subscription %q: opening durable store: %w", cfg.Name, err)
-		}
-		s.store = store
-		s.wal.SetSink(store)
-		s.chain.SetStore(store)
-	}
-	if err := s.chain.Checkpoint(m); err != nil {
-		return fmt.Errorf("pubsub: subscription %q: initial checkpoint: %w", cfg.Name, err)
-	}
-	m.SetInjector(b.inj)
 	b.wireSub(s)
 	b.subs = append(b.subs, s)
+	b.routes = nil
+	return nil
+}
+
+// newSub builds a validated subscription's view engine — a classic
+// maintainer, or a sink on the shared operator graph when
+// SetSharedDataflow is on — and gives it a recovery baseline. On error
+// nothing is left registered. Caller holds b.mu.
+func (b *Broker) newSub(cfg Subscription) (*sub, error) {
+	s := &sub{cfg: cfg, wal: ivm.NewWAL(), lastFresh: b.step}
+	if b.shared != nil {
+		p, err := ivm.PlanView(cfg.Query)
+		if err != nil {
+			return nil, err
+		}
+		if s.h, err = b.shared.Subscribe(p); err != nil {
+			return nil, err
+		}
+	} else {
+		m, err := ivm.New(b.db, cfg.Query)
+		if err != nil {
+			return nil, err
+		}
+		s.m = m
+	}
+	if err := b.initSub(s); err != nil {
+		if s.h != nil {
+			b.shared.Release(s.h)
+		}
+		return nil, err
+	}
+	return s, nil
+}
+
+// initSub is the engine-independent half of newSub: policy, step
+// vector, WAL, durability namespace, the initial checkpoint, and the
+// injector.
+func (b *Broker) initSub(s *sub) error {
+	eng := s.engine()
+	n := len(eng.Aliases())
+	if s.cfg.Model.N() != n {
+		return fmt.Errorf("model covers %d tables, view has %d", s.cfg.Model.N(), n)
+	}
+	s.pol = s.cfg.Policy
+	if s.pol == nil {
+		s.pol = policy.NewOnlineMarginal(s.cfg.Model, s.cfg.QoS, nil)
+	}
+	s.pol.Reset(n)
+	s.stepMods = core.NewVector(n)
+	// Durability from the first step: attach the redo log, stamp the
+	// durability namespace ("<shard>/<name>" under a sharded broker,
+	// "<name>" standalone), and take the initial checkpoint, so a crash at
+	// any later point has a recovery point whose ownership is verifiable.
+	// The injector is attached only after the checkpoint — the
+	// subscription must be born with a consistent recovery baseline.
+	eng.AttachWAL(s.wal)
+	ns := s.cfg.Name
+	if b.ns != "" {
+		ns = b.ns + "/" + s.cfg.Name
+	}
+	eng.SetNamespace(ns)
+	if s.m != nil {
+		// Classic recovery point: a checkpoint chain. Disk-backed
+		// durability attaches before the initial checkpoint: the store
+		// becomes the WAL's sink and the chain's segment store, so the
+		// very first base segment already lands on disk and a crash before
+		// the first step recovers from files. (A shared view's baseline is
+		// its handle's snapshot; the graph itself survives per-view crashes
+		// the way the live database does.)
+		s.chain = ivm.NewCheckpointChain(b.chainDepth)
+		if b.opener != nil {
+			store, err := b.opener(ns)
+			if err != nil {
+				return fmt.Errorf("opening durable store: %w", err)
+			}
+			s.store = store
+			s.wal.SetSink(store)
+			s.chain.SetStore(store)
+		}
+	}
+	if _, err := s.checkpoint(); err != nil {
+		return fmt.Errorf("initial checkpoint: %w", err)
+	}
+	eng.SetInjector(b.inj)
 	return nil
 }
 
@@ -387,108 +417,105 @@ func (b *Broker) Subscribe(cfg Subscription) error {
 // Alias field names the *table*; the broker translates it to each
 // subscription's alias.
 //
-// Because base tables are shared while maintainers apply modifications
-// themselves, Publish applies the change through the FIRST matching
-// subscription and enqueues it logically for the others; if no
-// subscription references the table, the change is applied directly.
+// A table no subscription watches takes the change directly. A watched
+// table takes it under the update rule every engine relies on (the
+// primary key must not change), and only then is the change routed to
+// the watchers — so a rejected modification reaches no delta queue, no
+// WAL, and no operator graph.
 func (b *Broker) Publish(table string, mod ivm.Mod) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.obs.observePublish()
-	if b.shared != nil {
-		routed, err := b.publishShared(table, mod, true)
-		if err != nil {
+	if len(b.targets(table)) == 0 {
+		return applyDirect(b.db, table, mod)
+	}
+	if err := applyLive(b.db, table, mod); err != nil {
+		return err
+	}
+	return b.route(table, mod)
+}
+
+// publishDeferred routes one modification to every subscription whose
+// view references the table WITHOUT touching the live base tables. It
+// is the shard-worker half of the sharded broker's ingest path — the
+// ShardedBroker applies the live change exactly once on the publisher
+// side, then each shard routes its own deferred copies here.
+func (b *Broker) publishDeferred(table string, mod ivm.Mod) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.obs.observePublish()
+	return b.route(table, mod)
+}
+
+// route hands one modification, already applied to the live tables, to
+// every subscription watching its table: the shared graph (if any)
+// ingests it once, propagating deltas to every shared view in a single
+// pass, then each watcher enqueues and WAL-logs it under its own alias
+// and counts it toward its policy's step vector. Caller holds b.mu.
+func (b *Broker) route(table string, mod ivm.Mod) error {
+	for i, t := range b.targets(table) {
+		mod.Alias = t.alias
+		if i == 0 && b.shared != nil {
+			if err := b.shared.Ingest(table, mod); err != nil {
+				return err
+			}
+		}
+		// The one-element scratch keeps the variadic interface call from
+		// allocating a fresh slice per subscription.
+		b.modBuf[0] = mod
+		if err := t.s.engine().ApplyDeferred(b.modBuf[:]...); err != nil {
 			return err
 		}
-		if routed == 0 {
-			return applyDirect(b.db, table, mod)
-		}
-		return nil
-	}
-	routed := false
-	for _, s := range b.subs {
-		// Resolve the table to an alias in registration order, not map
-		// order: a self-join view references the same table under two
-		// aliases, and which one receives the mod must be deterministic.
-		idx := -1
-		for _, alias := range s.m.Aliases() {
-			if b.tableOf(s, alias) == table {
-				idx = s.aliasIdx[alias]
-				mod.Alias = alias
-				break
-			}
-		}
-		if idx < 0 {
-			continue
-		}
-		if !routed {
-			if err := s.m.Apply(mod); err != nil {
-				return err
-			}
-			routed = true
-		} else {
-			if err := s.m.ApplyDeferred(mod); err != nil {
-				return err
-			}
-		}
-		s.stepMods[idx]++
-	}
-	if !routed {
-		return applyDirect(b.db, table, mod)
+		t.s.stepMods[t.idx]++
 	}
 	return nil
 }
 
-// publishDeferred routes one modification to every subscription whose
-// view references the table WITHOUT touching the live base tables: the
-// deltas are enqueued (and WAL-logged) through ApplyDeferred only. It is
-// the shard-worker half of the sharded broker's ingest path — the
-// ShardedBroker applies the live change exactly once on the publisher
-// side, then each shard applies its own deferred copies here. Returns
-// the number of subscriptions the modification was routed to.
-func (b *Broker) publishDeferred(table string, mod ivm.Mod) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.obs.observePublish()
-	if b.shared != nil {
-		return b.publishShared(table, mod, false)
+// target is one subscription watching a base table: the alias it reads
+// the table under and that alias's position in its step vector.
+type target struct {
+	s     *sub
+	alias string
+	idx   int
+}
+
+// targets returns the subscriptions watching table, in registration
+// order, caching a non-empty answer until the subscription set changes
+// (an empty one is not cached, so publishes naming arbitrary tables
+// cannot grow the cache). Each alias resolves in the view's FROM order,
+// not map order: a self-join references the same table under two
+// aliases, and which one receives the mod must be deterministic. Caller
+// holds b.mu exclusively.
+func (b *Broker) targets(table string) []target {
+	if ts, ok := b.routes[table]; ok {
+		return ts
 	}
-	routed := 0
+	var ts []target
 	for _, s := range b.subs {
-		// Registration-order alias resolution, as in Publish.
-		idx := -1
-		for _, alias := range s.m.Aliases() {
-			if b.tableOf(s, alias) == table {
-				idx = s.aliasIdx[alias]
-				mod.Alias = alias
+		eng := s.engine()
+		for i, alias := range eng.Aliases() {
+			if eng.TableOf(alias) == table {
+				ts = append(ts, target{s: s, alias: alias, idx: i})
 				break
 			}
 		}
-		if idx < 0 {
-			continue
-		}
-		if err := s.m.ApplyDeferred(mod); err != nil {
-			return routed, err
-		}
-		s.stepMods[idx]++
-		routed++
 	}
-	return routed, nil
+	if len(ts) == 0 {
+		return nil
+	}
+	if b.routes == nil {
+		b.routes = make(map[string][]target)
+	}
+	b.routes[table] = ts
+	return ts
 }
 
 // watchesTable reports whether any subscription's view references the
 // base table.
 func (b *Broker) watchesTable(table string) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	for _, s := range b.subs {
-		for alias := range s.aliasIdx {
-			if b.tableOf(s, alias) == table {
-				return true
-			}
-		}
-	}
-	return false
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.targets(table)) > 0
 }
 
 // backlogCost returns the summed model cost of fully refreshing every
@@ -523,24 +550,19 @@ func (b *Broker) pending(s *sub) core.Vector {
 	return core.Vector(s.pendBuf)
 }
 
-// tableOf resolves a subscription alias to its base table name.
-func (b *Broker) tableOf(s *sub, alias string) string { return s.engine().TableOf(alias) }
-
-// applyLive applies one modification to a live base table on behalf of
-// the sharded ingest path, enforcing the same update rule the maintainer
-// enforces on the serial path (the primary key must not change), so a
-// watched table behaves identically whichever broker fronts it.
+// applyLive applies one modification to a watched live base table,
+// enforcing the update rule the view engines rely on (the primary key
+// must not change), so a watched table behaves identically whichever
+// broker and engine front it.
 func applyLive(db *storage.DB, table string, mod ivm.Mod) error {
-	if mod.Kind == ivm.ModUpdate {
-		tbl, err := db.Table(table)
-		if err != nil {
-			return err
-		}
-		if tbl.Schema().KeyOf(mod.Row) != storage.EncodeKey(mod.Key...) {
-			return fmt.Errorf("pubsub: update must not change the primary key (table %q)", table)
-		}
+	tbl, err := db.Table(table)
+	if err != nil {
+		return err
 	}
-	return applyDirect(db, table, mod)
+	if mod.Kind == ivm.ModUpdate && tbl.Schema().KeyOf(mod.Row) != storage.EncodeKey(mod.Key...) {
+		return fmt.Errorf("pubsub: update must not change the primary key (table %q)", table)
+	}
+	return applyTo(tbl, mod)
 }
 
 // applyDirect applies a modification to a table no subscription watches.
@@ -549,6 +571,11 @@ func applyDirect(db *storage.DB, table string, mod ivm.Mod) error {
 	if err != nil {
 		return err
 	}
+	return applyTo(tbl, mod)
+}
+
+// applyTo applies a modification to a live table.
+func applyTo(tbl *storage.Table, mod ivm.Mod) error {
 	switch mod.Kind {
 	case ivm.ModInsert:
 		return tbl.Insert(mod.Row)
@@ -758,9 +785,9 @@ func (b *Broker) maybeCrash(s *sub) error {
 }
 
 // checkpointDue takes the periodic per-subscription checkpoints and
-// truncates the covered WAL prefixes. Each checkpoint extends the
-// subscription's chain — a small delta segment in the steady state, a
-// full base only when the chain is empty or rolls over. An
+// truncates the covered WAL prefixes. Each classic checkpoint extends
+// the subscription's chain — a small delta segment in the steady state,
+// a full base only when the chain is empty or rolls over. An
 // injected checkpoint failure skips that subscription's checkpoint —
 // recovery simply replays a longer WAL suffix, so nothing degrades.
 func (b *Broker) checkpointDue() error {
@@ -776,16 +803,11 @@ func (b *Broker) checkpointDue() error {
 				return err
 			}
 		}
-		if s.h != nil {
-			if err := b.checkpointShared(s); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := s.chain.Checkpoint(s.m); err != nil {
+		tip, err := s.checkpoint()
+		if err != nil {
 			return fmt.Errorf("pubsub: %s: checkpoint: %w", s.cfg.Name, err)
 		}
-		if err := s.wal.TruncateThrough(s.chain.TipLSN()); err != nil {
+		if err := s.wal.TruncateThrough(tip); err != nil {
 			return fmt.Errorf("pubsub: %s: wal truncation: %w", s.cfg.Name, err)
 		}
 	}

@@ -360,7 +360,7 @@ func (sh *shard) drain(batchSize int) {
 		depth := len(sh.queue)
 		sh.qmu.Unlock()
 		for _, in := range batch {
-			if _, err := sh.b.publishDeferred(in.table, in.mod); err != nil {
+			if err := sh.b.publishDeferred(in.table, in.mod); err != nil {
 				sh.errMu.Lock()
 				if sh.asyncErr == nil {
 					sh.asyncErr = fmt.Errorf("pubsub: shard %d: deferred publish on %q: %w", sh.id, in.table, err)

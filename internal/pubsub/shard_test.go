@@ -12,79 +12,50 @@ import (
 	"abivm/internal/storage"
 )
 
-// runSerialScript executes a scripted workload on the serial broker and
-// renders every notification plus the final contents — the reference
-// transcript the sharded runs are compared against byte for byte.
-func runSerialScript(t *testing.T, script [][]chaosEvent, subs []Subscription, seed int64, inj fault.Injector) string {
+// runScript executes a scripted workload on the serial broker (shards
+// == 0) or a ShardedBroker with the given shard count and renders every
+// notification plus the final contents and costs — serial transcripts
+// are the reference the sharded runs are compared against byte for
+// byte. injectors supplies per-shard injectors (nil = fault-free; the
+// serial broker takes injectors(0)).
+func runScript(t *testing.T, script [][]chaosEvent, spec WorkloadSpec, seed int64, shards int, injectors func(int) fault.Injector) string {
 	t.Helper()
-	db, err := chaosDB()
+	w, err := NewDemoWorkload(DemoConfig{
+		Seed: seed, Spec: spec, Shards: shards, Injectors: injectors,
+		Subscribe: func(_ *storage.DB, rt Runtime) error {
+			rt.setSleep(func(time.Duration) {})
+			rt.SetCheckpointEvery(5)
+			return subscribeDemo(rt, spec)
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBroker(db)
-	b.setSleep(func(time.Duration) {})
-	b.SetRetrySeed(seed)
-	b.SetCheckpointEvery(5)
-	if inj != nil {
-		b.SetInjector(inj)
-	}
-	for _, sc := range subs {
-		if err := b.Subscribe(sc); err != nil {
-			t.Fatal(err)
-		}
-	}
+	defer w.Close()
 	var out strings.Builder
 	for t2, evs := range script {
 		for _, ev := range evs {
-			if err := b.Publish(ev.table, ev.mod); err != nil {
+			if err := w.Broker.Publish(ev.table, ev.mod); err != nil {
 				t.Fatalf("step %d: publish: %v", t2, err)
 			}
 		}
-		ns, err := b.EndStep()
+		ns, err := w.Broker.EndStep()
 		if err != nil {
 			t.Fatalf("step %d: %v", t2, err)
 		}
 		renderNotes(&out, ns)
 	}
-	renderFinals(t, &out, b.Result, b.TotalCost, subs)
-	return out.String()
-}
-
-// runShardedScript is runSerialScript on a ShardedBroker with the given
-// shard count; factory supplies per-shard injectors (nil = fault-free).
-func runShardedScript(t *testing.T, script [][]chaosEvent, subs []Subscription, seed int64, shards int, factory func(int) fault.Injector) string {
-	t.Helper()
-	db, err := chaosDB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb := NewShardedBroker(db, ShardOptions{Shards: shards})
-	defer sb.Close()
-	sb.setSleep(func(time.Duration) {})
-	sb.SetRetrySeed(seed)
-	sb.SetCheckpointEvery(5)
-	if factory != nil {
-		sb.SetInjectors(factory)
-	}
-	for _, sc := range subs {
-		if err := sb.Subscribe(sc); err != nil {
+	for _, name := range w.Broker.Subscriptions() {
+		rows, err := w.Broker.Result(name)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	var out strings.Builder
-	for t2, evs := range script {
-		for _, ev := range evs {
-			if err := sb.Publish(ev.table, ev.mod); err != nil {
-				t.Fatalf("step %d: publish: %v", t2, err)
-			}
-		}
-		ns, err := sb.EndStep()
+		cost, err := w.Broker.TotalCost(name)
 		if err != nil {
-			t.Fatalf("step %d: %v", t2, err)
+			t.Fatal(err)
 		}
-		renderNotes(&out, ns)
+		fmt.Fprintf(&out, "final %s: cost=%.9g rows=%s\n", name, cost, renderRows(rows))
 	}
-	renderFinals(t, &out, sb.Result, sb.TotalCost, subs)
 	return out.String()
 }
 
@@ -96,38 +67,16 @@ func renderNotes(out *strings.Builder, ns []Notification) {
 	}
 }
 
-func renderFinals(t *testing.T, out *strings.Builder, result func(string) ([]storage.Row, error), totalCost func(string) (float64, error), subs []Subscription) {
-	t.Helper()
-	for _, sc := range subs {
-		rows, err := result(sc.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cost, err := totalCost(sc.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(out, "final %s: cost=%.9g rows=%s\n", sc.Name, cost, renderRows(rows))
-	}
-}
-
 // TestSingleShardMatchesSerialBroker is the tentpole's core invariant:
 // with one shard, the sharded runtime's observable output —
 // notifications, final contents, accumulated costs — is byte-identical
 // to the serial broker on the same workload, fault-free.
 func TestSingleShardMatchesSerialBroker(t *testing.T) {
 	const seed, steps = 11, 60
-	script := chaosScript(seed, steps, DefaultWorkloadSpec())
-	subs, err := demoSubscriptions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	subs2, err := demoSubscriptions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := runSerialScript(t, script, subs, seed, nil)
-	sharded := runShardedScript(t, script, subs2, seed, 1, nil)
+	spec := DefaultWorkloadSpec()
+	script := chaosScript(seed, steps, spec)
+	serial := runScript(t, script, spec, seed, 0, nil)
+	sharded := runScript(t, script, spec, seed, 1, nil)
 	if serial != sharded {
 		t.Fatalf("single-shard output diverged from serial broker:\n%s", firstDiff(serial, sharded))
 	}
@@ -140,17 +89,11 @@ func TestSingleShardMatchesSerialBroker(t *testing.T) {
 func TestSingleShardMatchesSerialBrokerUnderFaults(t *testing.T) {
 	const steps = 60
 	for seed := int64(1); seed <= 5; seed++ {
-		script := chaosScript(seed, steps, DefaultWorkloadSpec())
-		subs, err := demoSubscriptions()
-		if err != nil {
-			t.Fatal(err)
-		}
-		subs2, err := demoSubscriptions()
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial := runSerialScript(t, script, subs, seed, fault.NewSeeded(seed, fault.DefaultRates()))
-		sharded := runShardedScript(t, script, subs2, seed, 1, SeededShardInjectors(seed, fault.DefaultRates()))
+		spec := DefaultWorkloadSpec()
+		script := chaosScript(seed, steps, spec)
+		injectors := SeededShardInjectors(seed, fault.DefaultRates())
+		serial := runScript(t, script, spec, seed, 0, injectors)
+		sharded := runScript(t, script, spec, seed, 1, injectors)
 		if serial != sharded {
 			t.Fatalf("seed %d: faulted single-shard output diverged from serial broker:\n%s",
 				seed, firstDiff(serial, sharded))
@@ -167,41 +110,11 @@ func TestShardCountInvariantFaultFree(t *testing.T) {
 	script := chaosScript(seed, steps, spec)
 	var want string
 	for _, shards := range []int{1, 2, 3, 4} {
-		subs, err := demoSubscriptionsSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := chaosDBSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb := NewShardedBroker(db, ShardOptions{Shards: shards})
-		sb.SetRetrySeed(seed)
-		sb.SetCheckpointEvery(5)
-		for _, sc := range subs {
-			if err := sb.Subscribe(sc); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var out strings.Builder
-		for t2, evs := range script {
-			for _, ev := range evs {
-				if err := sb.Publish(ev.table, ev.mod); err != nil {
-					t.Fatalf("shards=%d step %d: %v", shards, t2, err)
-				}
-			}
-			ns, err := sb.EndStep()
-			if err != nil {
-				t.Fatalf("shards=%d step %d: %v", shards, t2, err)
-			}
-			renderNotes(&out, ns)
-		}
-		renderFinals(t, &out, sb.Result, sb.TotalCost, subs)
-		sb.Close()
+		got := runScript(t, script, spec, seed, shards, nil)
 		if want == "" {
-			want = out.String()
-		} else if out.String() != want {
-			t.Fatalf("shards=%d output diverged from shards=1:\n%s", shards, firstDiff(want, out.String()))
+			want = got
+		} else if got != want {
+			t.Fatalf("shards=%d output diverged from shards=1:\n%s", shards, firstDiff(want, got))
 		}
 	}
 }
@@ -215,7 +128,9 @@ func TestShardedDeterminismSameSeed(t *testing.T) {
 	script := chaosScript(seed, steps, spec)
 	var first string
 	for run := 0; run < 2; run++ {
-		tr, fin, _, _, err := chaosRunSharded(script, seed, shards, spec, SeededShardInjectors(seed, fault.DefaultRates()), 5, 3, nil, false)
+		cfg := ChaosConfig{Seed: seed, Shards: shards, CheckpointEvery: 5}
+		v := chaosVariant{depth: 3, injectors: SeededShardInjectors(seed, fault.DefaultRates())}
+		tr, fin, _, _, err := cfg.run(v, spec, script)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,23 +150,20 @@ func TestShardedDeterminismSameSeed(t *testing.T) {
 // the merged output must still match a fully-loaded layout.
 func TestShardWithZeroSubscriptions(t *testing.T) {
 	const seed, steps = 5, 30
-	script := chaosScript(seed, steps, DefaultWorkloadSpec())
-	subs, err := demoSubscriptions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	subs2, err := demoSubscriptions()
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := DefaultWorkloadSpec()
+	script := chaosScript(seed, steps, spec)
 	// 5 shards, 2 subscriptions: at least 3 shards stay empty.
-	got := runShardedScript(t, script, subs, seed, 5, nil)
-	want := runShardedScript(t, script, subs2, seed, 1, nil)
+	got := runScript(t, script, spec, seed, 5, nil)
+	want := runScript(t, script, spec, seed, 1, nil)
+	subs, err := demoSubscriptions(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got != want {
 		t.Fatalf("empty shards changed the merged output:\n%s", firstDiff(want, got))
 	}
 
-	db, err := chaosDB()
+	db, err := DemoDB(DefaultWorkloadSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,13 +200,13 @@ func TestShardWithZeroSubscriptions(t *testing.T) {
 // surfaces as a typed *RejectionError, leaves the base tables untouched,
 // and clears at the next step barrier.
 func TestQueueFullRejection(t *testing.T) {
-	db, err := chaosDB()
+	db, err := DemoDB(DefaultWorkloadSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sb := NewShardedBroker(db, ShardOptions{Shards: 2, QueueCap: 3})
 	defer sb.Close()
-	subs, err := demoSubscriptions()
+	subs, err := demoSubscriptions(DefaultWorkloadSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +253,7 @@ func TestQueueFullRejection(t *testing.T) {
 // MaxBacklogCost rejects publishes with the typed backlog reason until a
 // step drains it back under the bound.
 func TestBacklogRejection(t *testing.T) {
-	db, err := chaosDB()
+	db, err := DemoDB(DefaultWorkloadSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +261,7 @@ func TestBacklogRejection(t *testing.T) {
 	// step with any pending backlog trips it.
 	sb := NewShardedBroker(db, ShardOptions{Shards: 1, MaxBacklogCost: 1e-6})
 	defer sb.Close()
-	subs, err := demoSubscriptions()
+	subs, err := demoSubscriptions(DefaultWorkloadSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,37 +303,36 @@ func TestMidRunSubscribeMatchesSerial(t *testing.T) {
 	const seed, steps, joinAt = 21, 40, 17
 	script := chaosScript(seed, steps, DefaultWorkloadSpec())
 
-	run := func(publish func(string, ivm.Mod) error, subscribe func(Subscription) error,
-		endStep func() ([]Notification, error), result func(string) ([]storage.Row, error)) string {
-		subs, err := demoSubscriptions()
+	run := func(rt Runtime) string {
+		subs, err := demoSubscriptions(DefaultWorkloadSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := subscribe(subs[0]); err != nil {
+		if err := rt.Subscribe(subs[0]); err != nil {
 			t.Fatal(err)
 		}
 		var out strings.Builder
 		for t2, evs := range script {
 			for _, ev := range evs {
-				if err := publish(ev.table, ev.mod); err != nil {
+				if err := rt.Publish(ev.table, ev.mod); err != nil {
 					t.Fatalf("step %d: %v", t2, err)
 				}
 				// Join mid-step, with this step's modifications still in
 				// flight toward the shard.
 				if t2 == joinAt {
-					if err := subscribe(subs[1]); err != nil {
+					if err := rt.Subscribe(subs[1]); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			ns, err := endStep()
+			ns, err := rt.EndStep()
 			if err != nil {
 				t.Fatalf("step %d: %v", t2, err)
 			}
 			renderNotes(&out, ns)
 		}
 		for _, sc := range subs {
-			rows, err := result(sc.Name)
+			rows, err := rt.Result(sc.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -430,20 +341,19 @@ func TestMidRunSubscribeMatchesSerial(t *testing.T) {
 		return out.String()
 	}
 
-	dbA, err := chaosDB()
+	dbA, err := DemoDB(DefaultWorkloadSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBroker(dbA)
-	serial := run(b.Publish, b.Subscribe, b.EndStep, b.Result)
+	serial := run(NewBroker(dbA))
 
-	dbB, err := chaosDB()
+	dbB, err := DemoDB(DefaultWorkloadSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sb := NewShardedBroker(dbB, ShardOptions{Shards: 2})
 	defer sb.Close()
-	sharded := run(sb.Publish, sb.Subscribe, sb.EndStep, sb.Result)
+	sharded := run(sb)
 
 	if serial != sharded {
 		t.Fatalf("mid-run subscribe diverged from serial broker:\n%s", firstDiff(serial, sharded))

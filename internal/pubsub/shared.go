@@ -3,11 +3,9 @@ package pubsub
 import (
 	"fmt"
 
-	"abivm/internal/core"
 	"abivm/internal/dataflow"
 	"abivm/internal/fault"
 	"abivm/internal/ivm"
-	"abivm/internal/policy"
 	"abivm/internal/storage"
 )
 
@@ -15,17 +13,24 @@ import (
 // drives: satisfied by both the classic per-view maintainer
 // (ivm.Maintainer, private replicas per view) and the shared-dataflow
 // handle (dataflow.ViewHandle, one operator graph for all views). The
-// broker's scheduling, retry, QoS, and notification choreography is
-// identical across the two; only ingestion and durability branch.
+// broker's routing, scheduling, retry, QoS, and notification
+// choreography is identical across the two; only building the engine,
+// the shared graph's one ingest per modification, and the recovery
+// point (checkpoint chain or handle snapshot) branch.
 type viewEngine interface {
 	Aliases() []string
 	TableOf(alias string) string
+	// ApplyDeferred enqueues and WAL-logs modifications the live tables
+	// already reflect.
+	ApplyDeferred(mods ...ivm.Mod) error
 	PendingInto(dst []int) []int
 	ProcessBatch(alias string, k int) error
 	Result() []storage.Row
+	AttachWAL(w *ivm.WAL)
+	SetNamespace(ns string)
+	Namespace() string
 	SetInjector(fault.Injector)
 	SetMetrics(ms *ivm.Metrics)
-	Namespace() string
 }
 
 // engine returns the subscription's view runtime.
@@ -34,6 +39,18 @@ func (s *sub) engine() viewEngine {
 		return s.h
 	}
 	return s.m
+}
+
+// checkpoint records a new recovery point — the next segment of a
+// classic view's chain, or a shared view's handle snapshot — and
+// returns the WAL position it covers.
+func (s *sub) checkpoint() (uint64, error) {
+	if s.h != nil {
+		err := s.h.Checkpoint()
+		return s.h.TipLSN(), err
+	}
+	err := s.chain.Checkpoint(s.m)
+	return s.chain.TipLSN(), err
 }
 
 // SetSharedDataflow switches the broker to the shared delta-dataflow
@@ -68,13 +85,6 @@ func (b *Broker) SetSharedDataflow(on bool) error {
 	return nil
 }
 
-// SharedDataflow reports whether the shared runtime is enabled.
-func (b *Broker) SharedDataflow() bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.shared != nil
-}
-
 // DataflowStats snapshots the shared operator graph's shape (zero when
 // the classic runtime is active).
 func (b *Broker) DataflowStats() dataflow.GraphStats {
@@ -84,48 +94,6 @@ func (b *Broker) DataflowStats() dataflow.GraphStats {
 		return dataflow.GraphStats{}
 	}
 	return b.shared.Stats()
-}
-
-// subscribeShared is the shared-runtime half of Subscribe: compile the
-// view into the graph (hash-consing against every operator already
-// there) and attach the per-view sink. Caller holds b.mu and has
-// validated cfg.
-func (b *Broker) subscribeShared(cfg Subscription, ns string) (*sub, error) {
-	p, err := ivm.PlanView(cfg.Query)
-	if err != nil {
-		return nil, fmt.Errorf("pubsub: subscription %q: %w", cfg.Name, err)
-	}
-	if n := len(p.Sources); cfg.Model.N() != n {
-		return nil, fmt.Errorf("pubsub: subscription %q: model covers %d tables, view has %d", cfg.Name, cfg.Model.N(), n)
-	}
-	h, err := b.shared.Subscribe(p)
-	if err != nil {
-		return nil, fmt.Errorf("pubsub: subscription %q: %w", cfg.Name, err)
-	}
-	n := len(h.Aliases())
-	pol := cfg.Policy
-	if pol == nil {
-		pol = policy.NewOnlineMarginal(cfg.Model, cfg.QoS, nil)
-	}
-	pol.Reset(n)
-	s := &sub{
-		cfg: cfg, h: h, pol: pol,
-		aliasIdx: map[string]int{}, stepMods: core.NewVector(n),
-		wal: ivm.NewWAL(), lastFresh: b.step,
-	}
-	for i, a := range h.Aliases() {
-		s.aliasIdx[a] = i
-	}
-	h.AttachWAL(s.wal)
-	h.SetNamespace(ns)
-	// The initial checkpoint is the recovery baseline, as in classic
-	// mode; the shared graph itself is not part of it — it survives
-	// per-view crashes the way the live database does.
-	if err := h.Checkpoint(); err != nil {
-		b.shared.Release(h)
-		return nil, fmt.Errorf("pubsub: subscription %q: initial checkpoint: %w", cfg.Name, err)
-	}
-	return s, nil
 }
 
 // Unsubscribe removes a subscription. Under the shared runtime the
@@ -143,62 +111,10 @@ func (b *Broker) Unsubscribe(name string) error {
 			b.shared.Release(s.h)
 		}
 		b.subs = append(b.subs[:i], b.subs[i+1:]...)
+		b.routes = nil
 		return nil
 	}
 	return fmt.Errorf("pubsub: no subscription %q", name)
-}
-
-// publishShared routes one modification under the shared runtime: the
-// live table changes once, the graph ingests the modification once
-// (propagating deltas to every view's pending set in a single pass),
-// and each watching subscription logs the arrival under its own alias
-// and counts it toward its policy's step vector. applyLive indicates
-// whether this broker owns the live-table change (standalone Publish)
-// or only observes it (sharded publishDeferred).
-func (b *Broker) publishShared(table string, mod ivm.Mod, live bool) (int, error) {
-	routed := 0
-	for _, s := range b.subs {
-		// Registration-order alias resolution, as in classic Publish.
-		idx := -1
-		for _, alias := range s.h.Aliases() {
-			if s.h.TableOf(alias) == table {
-				idx = s.aliasIdx[alias]
-				mod.Alias = alias
-				break
-			}
-		}
-		if idx < 0 {
-			continue
-		}
-		if routed == 0 {
-			if live {
-				if err := applyLive(b.db, table, mod); err != nil {
-					return routed, err
-				}
-			}
-			if err := b.shared.Ingest(table, mod); err != nil {
-				return routed, err
-			}
-		}
-		if err := s.h.LogArrival(mod); err != nil {
-			return routed, err
-		}
-		s.stepMods[idx]++
-		routed++
-	}
-	return routed, nil
-}
-
-// checkpointShared checkpoints one shared subscription and truncates
-// its covered WAL prefix.
-func (b *Broker) checkpointShared(s *sub) error {
-	if err := s.h.Checkpoint(); err != nil {
-		return fmt.Errorf("pubsub: %s: checkpoint: %w", s.cfg.Name, err)
-	}
-	if err := s.wal.TruncateThrough(s.h.TipLSN()); err != nil {
-		return fmt.Errorf("pubsub: %s: wal truncation: %w", s.cfg.Name, err)
-	}
-	return nil
 }
 
 // trimShared garbage-collects the shared graph below the durability

@@ -57,12 +57,14 @@ func subscribeSharedViews(t testing.TB, b *Broker, n int) {
 // runtime-equivalence half of the tentpole acceptance bar, without the
 // fault machinery in the way.
 func TestSharedRunMatchesClassic(t *testing.T) {
-	script := chaosScript(3, 40, DefaultWorkloadSpec())
-	ct, cf, _, _, err := chaosRun(script, 3, nil, 5, 2, nil, false)
+	spec := DefaultWorkloadSpec()
+	script := chaosScript(3, 40, spec)
+	cfg := ChaosConfig{Seed: 3, CheckpointEvery: 5}
+	ct, cf, _, _, err := cfg.run(chaosVariant{depth: 2}, spec, script)
 	if err != nil {
 		t.Fatalf("classic run: %v", err)
 	}
-	st, sf, _, _, err := chaosRun(script, 3, nil, 5, 2, nil, true)
+	st, sf, _, _, err := cfg.run(chaosVariant{depth: 2, shared: true}, spec, script)
 	if err != nil {
 		t.Fatalf("shared run: %v", err)
 	}
@@ -125,7 +127,7 @@ func TestChaosSharedSharded(t *testing.T) {
 // scan(sales), one scan(stations), and one join, with only the
 // per-view group/projection tops private.
 func TestSharedBrokerSharing(t *testing.T) {
-	db, err := chaosDB()
+	db, err := DemoDB(DefaultWorkloadSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +135,9 @@ func TestSharedBrokerSharing(t *testing.T) {
 	if err := b.SetSharedDataflow(true); err != nil {
 		t.Fatal(err)
 	}
-	if !b.SharedDataflow() {
-		t.Fatal("SharedDataflow() = false after enabling")
-	}
 	subscribeSharedViews(t, b, 6)
+	// The classic runtime reports a zero graph, so six views also proves
+	// the broker really runs on the shared one.
 	st := b.DataflowStats()
 	if st.Views != 6 {
 		t.Fatalf("Views = %d, want 6", st.Views)
@@ -158,7 +159,7 @@ func TestSharedBrokerSharing(t *testing.T) {
 // broker surface: unsubscribing tears down exactly the nodes no other
 // view still references, and the last unsubscribe empties the graph.
 func TestSharedUnsubscribeReleases(t *testing.T) {
-	db, err := chaosDB()
+	db, err := DemoDB(DefaultWorkloadSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestSharedUnsubscribeReleases(t *testing.T) {
 
 // TestSharedModeGuards pins the mode-switch preconditions.
 func TestSharedModeGuards(t *testing.T) {
-	db, err := chaosDB()
+	db, err := DemoDB(DefaultWorkloadSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestSharedModeGuards(t *testing.T) {
 		t.Error("enabling shared dataflow after a classic subscription succeeded")
 	}
 
-	db2, err := chaosDB()
+	db2, err := DemoDB(DefaultWorkloadSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func runSharedBench(b *testing.B, n int, shared bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		db, err := chaosDB()
+		db, err := DemoDB(DefaultWorkloadSpec())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,9 +284,12 @@ func BenchmarkSharedDataflow(b *testing.B) {
 func TestSharedFaultSitesExercised(t *testing.T) {
 	sites := map[fault.Site]int{}
 	for seed := int64(1); seed <= 6; seed++ {
-		script := chaosScript(seed, 40, DefaultWorkloadSpec())
+		spec := DefaultWorkloadSpec()
+		script := chaosScript(seed, 40, spec)
 		inj := fault.NewSeeded(seed, fault.DefaultRates())
-		if _, _, _, _, err := chaosRun(script, seed, inj, 5, 2, nil, true); err != nil {
+		cfg := ChaosConfig{Seed: seed, CheckpointEvery: 5}
+		v := chaosVariant{depth: 2, shared: true, injectors: func(int) fault.Injector { return inj }}
+		if _, _, _, _, err := cfg.run(v, spec, script); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for site, n := range inj.Fired() {

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"time"
 
 	"abivm/internal/durable"
 	"abivm/internal/fault"
 	"abivm/internal/ivm"
+	"abivm/internal/obs"
 	"abivm/internal/storage"
 )
 
@@ -61,11 +63,7 @@ type eventGen struct {
 	next int64
 }
 
-func newEventGen(seed int64) *eventGen {
-	return newEventGenSpec(seed, DefaultWorkloadSpec())
-}
-
-func newEventGenSpec(seed int64, spec WorkloadSpec) *eventGen {
+func newEventGen(seed int64, spec WorkloadSpec) *eventGen {
 	g := &eventGen{rng: rand.New(rand.NewSource(seed)), spec: spec, next: int64(spec.SalesRows)}
 	g.live = make([]int64, 0, 2*spec.SalesRows)
 	for i := int64(0); i < int64(spec.SalesRows); i++ {
@@ -104,16 +102,10 @@ func (g *eventGen) step() []chaosEvent {
 // the legacy east (Every 7) / west (Every 11) pair.
 var demoConditionCycle = []int{7, 11, 5, 13, 6, 9, 12, 8}
 
-// demoSubscriptions returns the standard east/west subscription pair of
-// the chaos workload, with fresh cost models.
-func demoSubscriptions() ([]Subscription, error) {
-	return demoSubscriptionsSpec(DefaultWorkloadSpec())
-}
-
-// demoSubscriptionsSpec builds one aggregate subscription per region of
-// the spec: name = lowercase region, staggered notification cadence,
-// the shared QoS bound, and a fresh cost model each.
-func demoSubscriptionsSpec(spec WorkloadSpec) ([]Subscription, error) {
+// demoSubscriptions builds one aggregate subscription per region of the
+// spec: name = lowercase region, staggered notification cadence, the
+// shared QoS bound, and a fresh cost model each.
+func demoSubscriptions(spec WorkloadSpec) ([]Subscription, error) {
 	subs := make([]Subscription, len(spec.Regions))
 	for i, region := range spec.Regions {
 		model, err := chaosModel()
@@ -135,110 +127,132 @@ func demoSubscriptionsSpec(spec WorkloadSpec) ([]Subscription, error) {
 	return subs, nil
 }
 
+// subscribeDemo registers the spec's demo subscriptions on rt.
+func subscribeDemo(rt Runtime, spec WorkloadSpec) error {
+	subs, err := demoSubscriptions(spec)
+	if err != nil {
+		return err
+	}
+	for _, sc := range subs {
+		if err := rt.Subscribe(sc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Runtime is the surface the serial Broker and the ShardedBroker share.
+// The demo workload, the chaos harness, and `abivm serve` drive a broker
+// only through it, so each is written once for both runtimes.
+type Runtime interface {
+	Subscribe(Subscription) error
+	SubscribeCompiled(CompiledSubscription) error
+	Publish(table string, mod ivm.Mod) error
+	EndStep() ([]Notification, error)
+	Subscriptions() []string
+	Result(name string) ([]storage.Row, error)
+	TotalCost(name string) (float64, error)
+	Health(name string) (Health, error)
+	DurabilityStats() durable.Stats
+	SetObs(reg *obs.Registry, tr *obs.Tracer)
+	SetRetrySeed(seed int64)
+	SetRetryPolicy(RetryPolicy)
+	SetCheckpointEvery(n int)
+	SetCheckpointChainDepth(n int)
+	SetStoreOpener(durable.Opener)
+	SetSharedDataflow(on bool) error
+	setSleep(func(time.Duration))
+}
+
+// DemoConfig parameterizes NewDemoWorkload.
+type DemoConfig struct {
+	// Seed drives the event stream and the retry jitter.
+	Seed int64
+	// Spec sizes the base tables and the default subscriptions; the zero
+	// value selects DefaultWorkloadSpec.
+	Spec WorkloadSpec
+	// Shards > 0 runs a ShardedBroker with that many shards; 0 the serial
+	// Broker.
+	Shards int
+	// Shared compiles the subscriptions into the shared delta-dataflow
+	// runtime (SetSharedDataflow) instead of per-view maintainers.
+	Shared bool
+	// Injectors, when non-nil, builds shard i's fault injector; the
+	// serial broker takes Injectors(0). A non-nil factory puts the
+	// workload into chaos mode (retries, degradations, crash recoveries
+	// all live).
+	Injectors func(shard int) fault.Injector
+	// Opener, when non-nil, gives every subscription a disk-backed
+	// durable store (installed before the subscriptions exist, so their
+	// initial checkpoints land on disk).
+	Opener durable.Opener
+	// Subscribe registers the workload's subscriptions on the configured
+	// runtime over its base tables; nil registers one aggregate
+	// subscription per region of Spec. `abivm serve -catalog` compiles a
+	// views.sql catalog against db and subscribes the compiled views.
+	Subscribe func(db *storage.DB, rt Runtime) error
+}
+
 // DemoWorkload is a self-contained, endlessly steppable pub/sub workload
-// over the chaos harness's stations/sales schema with the east/west
-// aggregate subscriptions. `abivm serve` drives one to have live data
-// behind its metrics endpoint; everything it does is deterministic in
+// over the stations/sales schema. `abivm serve` drives one to have live
+// data behind its metrics endpoint, and the chaos harness builds every
+// run it compares through one; everything it does is deterministic in
 // the seed (including retry-backoff jitter).
 type DemoWorkload struct {
-	// Broker is the underlying broker; attach observability with SetObs
+	// Broker is the underlying runtime; attach observability with SetObs
 	// and inspect subscriptions through the usual accessors.
-	Broker *Broker
+	Broker Runtime
 
 	gen *eventGen
 }
 
-// NewDemoWorkload builds the demo database, broker, and subscriptions.
-// A non-nil injector puts the workload into chaos mode (retries,
-// degradations, crash recoveries all live).
-func NewDemoWorkload(seed int64, inj fault.Injector) (*DemoWorkload, error) {
-	return NewDemoWorkloadSpec(seed, DefaultWorkloadSpec(), inj)
-}
-
-// NewDemoWorkloadSpec is NewDemoWorkload over an arbitrary workload
-// spec: base tables and one subscription per region from spec, on a
-// serial broker. The durability benchmarks use it to size the replica
-// state a checkpoint has to cover.
-func NewDemoWorkloadSpec(seed int64, spec WorkloadSpec, inj fault.Injector) (*DemoWorkload, error) {
-	return NewDemoWorkloadDurable(seed, spec, inj, nil)
-}
-
-// NewDemoWorkloadDurable is NewDemoWorkloadSpec with disk-backed
-// durability: a non-nil opener gives every subscription a durable store
-// (installed before the subscriptions exist, so their initial
-// checkpoints land on disk).
-func NewDemoWorkloadDurable(seed int64, spec WorkloadSpec, inj fault.Injector, opener durable.Opener) (*DemoWorkload, error) {
-	db, err := DemoDB(spec)
+// NewDemoWorkload builds the demo database (DemoDB(c.Spec)), the broker
+// runtime c selects, and the subscriptions. Call Close when done.
+func NewDemoWorkload(c DemoConfig) (*DemoWorkload, error) {
+	if len(c.Spec.Regions) == 0 {
+		c.Spec = DefaultWorkloadSpec()
+	}
+	db, err := DemoDB(c.Spec)
 	if err != nil {
 		return nil, err
 	}
-	return NewDemoWorkloadOn(db, seed, spec, inj, opener, func(b *Broker) error {
-		subs, err := demoSubscriptionsSpec(spec)
-		if err != nil {
-			return err
+	var rt Runtime
+	if c.Shards > 0 {
+		sb := NewShardedBroker(db, ShardOptions{Shards: c.Shards})
+		if c.Injectors != nil {
+			sb.SetInjectors(c.Injectors)
 		}
-		for _, sc := range subs {
-			if err := b.Subscribe(sc); err != nil {
-				return err
-			}
+		rt = sb
+	} else {
+		b := NewBroker(db)
+		if c.Injectors != nil {
+			b.SetInjector(c.Injectors(0))
 		}
-		return nil
-	})
-}
-
-// NewDemoWorkloadShared is NewDemoWorkloadSpec on the shared
-// delta-dataflow runtime: the demo subscriptions compile into one
-// hash-consed operator graph (SetSharedDataflow) instead of per-view
-// maintainers. In-memory durability only — the shared runtime has no
-// per-operator disk checkpoint yet.
-func NewDemoWorkloadShared(seed int64, spec WorkloadSpec, inj fault.Injector) (*DemoWorkload, error) {
-	db, err := DemoDB(spec)
-	if err != nil {
+		rt = b
+	}
+	w := &DemoWorkload{Broker: rt, gen: newEventGen(c.Seed, c.Spec)}
+	if err := w.setup(db, c); err != nil {
+		w.Close()
 		return nil, err
 	}
-	return NewDemoWorkloadOn(db, seed, spec, inj, nil, func(b *Broker) error {
-		if err := b.SetSharedDataflow(true); err != nil {
-			return err
-		}
-		subs, err := demoSubscriptionsSpec(spec)
-		if err != nil {
-			return err
-		}
-		for _, sc := range subs {
-			if err := b.Subscribe(sc); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	return w, nil
 }
 
-// DemoDB builds the demo workload's deterministic base database
-// (stations and sales, populated per spec) without a broker on top. The
-// compiler front end calibrates catalog views against it, and tests use
-// it to hand-wire comparison brokers.
-func DemoDB(spec WorkloadSpec) (*storage.DB, error) { return chaosDBSpec(spec) }
-
-// NewDemoWorkloadOn assembles a demo workload over an existing demo
-// database with caller-provided subscriptions: the broker is configured
-// (retry seed, optional durability, optional injector) and then handed
-// to subscribe to register whatever subscriptions the caller wants —
-// `abivm serve -catalog` compiles a views.sql catalog and registers the
-// compiled subscriptions here. db must come from DemoDB(spec) (or match
-// its schema); the event stream publishes into stations and sales.
-func NewDemoWorkloadOn(db *storage.DB, seed int64, spec WorkloadSpec, inj fault.Injector, opener durable.Opener, subscribe func(*Broker) error) (*DemoWorkload, error) {
-	b := NewBroker(db)
-	b.SetRetrySeed(seed)
-	if opener != nil {
-		b.SetStoreOpener(opener)
+// setup configures the fresh runtime and registers the subscriptions.
+func (w *DemoWorkload) setup(db *storage.DB, c DemoConfig) error {
+	w.Broker.SetRetrySeed(c.Seed)
+	if c.Opener != nil {
+		w.Broker.SetStoreOpener(c.Opener)
 	}
-	if inj != nil {
-		b.SetInjector(inj)
+	if c.Shared {
+		if err := w.Broker.SetSharedDataflow(true); err != nil {
+			return err
+		}
 	}
-	if err := subscribe(b); err != nil {
-		return nil, err
+	if c.Subscribe != nil {
+		return c.Subscribe(db, w.Broker)
 	}
-	return &DemoWorkload{Broker: b, gen: newEventGenSpec(seed, spec)}, nil
+	return subscribeDemo(w.Broker, c.Spec)
 }
 
 // Step publishes one generated step of modifications and closes the
@@ -252,69 +266,13 @@ func (w *DemoWorkload) Step() ([]Notification, error) {
 	return w.Broker.EndStep()
 }
 
-// ShardedDemoWorkload is DemoWorkload on the sharded runtime: the same
-// deterministic event stream feeding a ShardedBroker, with one
-// subscription per region of the spec spread across the shards by the
-// assignment policy. `abivm serve -shards N` drives one.
-type ShardedDemoWorkload struct {
-	// Broker is the underlying sharded broker; callers own its lifecycle
-	// through Close.
-	Broker *ShardedBroker
-
-	gen *eventGen
-}
-
-// NewShardedDemoWorkload builds the sharded demo: base tables and
-// subscriptions from spec, shards workers, per-shard retry seeds derived
-// from seed, and — when factory is non-nil — one independent fault
-// injector per shard.
-func NewShardedDemoWorkload(seed int64, shards int, spec WorkloadSpec, factory func(shard int) fault.Injector) (*ShardedDemoWorkload, error) {
-	return NewShardedDemoWorkloadDurable(seed, shards, spec, factory, nil)
-}
-
-// NewShardedDemoWorkloadDurable is NewShardedDemoWorkload with
-// disk-backed durability; each shard prefixes its subscriptions'
-// store namespaces with "shard<i>/".
-func NewShardedDemoWorkloadDurable(seed int64, shards int, spec WorkloadSpec, factory func(shard int) fault.Injector, opener durable.Opener) (*ShardedDemoWorkload, error) {
-	db, err := chaosDBSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	sb := NewShardedBroker(db, ShardOptions{Shards: shards})
-	sb.SetRetrySeed(seed)
-	if opener != nil {
-		sb.SetStoreOpener(opener)
-	}
-	if factory != nil {
-		sb.SetInjectors(factory)
-	}
-	subs, err := demoSubscriptionsSpec(spec)
-	if err != nil {
+// Close stops the shard workers of a sharded workload; a no-op on the
+// serial broker.
+func (w *DemoWorkload) Close() {
+	if sb, ok := w.Broker.(*ShardedBroker); ok {
 		sb.Close()
-		return nil, err
 	}
-	for _, sc := range subs {
-		if err := sb.Subscribe(sc); err != nil {
-			sb.Close()
-			return nil, err
-		}
-	}
-	return &ShardedDemoWorkload{Broker: sb, gen: newEventGenSpec(seed, spec)}, nil
 }
-
-// Step publishes one generated step of modifications and closes the
-// step across every shard, returning the merged notifications.
-func (w *ShardedDemoWorkload) Step() ([]Notification, error) {
-	for _, ev := range w.gen.step() {
-		if err := w.Broker.Publish(ev.table, ev.mod); err != nil {
-			return nil, fmt.Errorf("pubsub: demo publish %s: %w", ev.table, err)
-		}
-	}
-	return w.Broker.EndStep()
-}
-
-// Close stops the shard workers.
-func (w *ShardedDemoWorkload) Close() { w.Broker.Close() }
 
 // SeededShardInjectors returns a per-shard injector factory: shard i
 // gets an independent deterministic fault.Seeded stream derived from

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Serve smoke: start `abivm serve` against the demo workload — once on
-# the serial broker and once on the sharded runtime (-shards 4) — scrape
+# Serve smoke: start `abivm serve` against the demo workload — on the
+# serial broker, on the sharded runtime (-shards 4), and on two shards
+# with the shared engine and with a compiled views.sql catalog — scrape
 # the ops endpoints, and assert the required metric series exist. This is
 # the end-to-end proof that the observability wiring — broker, shard
 # workers, maintainer, fault injector — actually emits on a live
@@ -87,5 +88,15 @@ smoke sharded "-shards 4" \
     pubsub_shard_backlog_cost \
     pubsub_ingest_batches_total \
     pubsub_ingest_batch_size
+
+# The shared engine and compiled catalogs run on either broker; exercise
+# both on the sharded runtime.
+smoke sharded-shared "-shared -shards 2" \
+    pubsub_shards \
+    ivm_dataflow_operators \
+    ivm_dataflow_views
+
+smoke sharded-catalog "-catalog examples/views.sql -shards 2" \
+    pubsub_shards
 
 echo "serve_smoke: OK"
