@@ -388,7 +388,7 @@ func BenchmarkIndexAsymmetry(b *testing.B) {
 // transient failures whose retry backoff sleeps real wall-clock time
 // (fixed 2ms, no jitter) — the benchmark's stand-in for the I/O stalls a
 // persistent backend would impose. The speedup therefore comes from
-// shard workers overlapping their stalls, which is exactly the
+// shards overlapping their stalls, which is exactly the
 // concurrency the sharded runtime exists to exploit and the only kind
 // available on a single-core runner; see EXPERIMENTS.md for the
 // methodology note.
@@ -410,7 +410,6 @@ func BenchmarkShardedStep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer w.Close()
 			w.Broker.SetRetryPolicy(pol)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

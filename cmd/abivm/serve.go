@@ -69,7 +69,6 @@ func runServe(ctx context.Context, args []string) error {
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	defer w.Close()
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(*tracebuf)
 	w.Broker.SetObs(reg, tr)

@@ -39,7 +39,7 @@ type ChaosConfig struct {
 	// Shards selects the runtime: 0 runs the serial broker on the legacy
 	// east/west workload; n >= 1 runs the sharded runtime with n shards
 	// on a widened workload (2n regions), per-shard fault injectors, and
-	// quiesced mid-run cost/health sampling folded into the transcripts.
+	// mid-run cost/health sampling folded into the transcripts.
 	Shards int
 	// ChainDepth is the checkpoint-chain depth of the incremental
 	// recovery variants; <= 0 derives it from the seed (1..4), so the
@@ -243,7 +243,6 @@ func (cfg ChaosConfig) run(v chaosVariant, spec WorkloadSpec, script [][]chaosEv
 	if err != nil {
 		return "", "", 0, stats, err
 	}
-	defer w.Close()
 	transcript, finals, degraded, err = chaosRun(w.Broker, script)
 	return transcript, finals, degraded, w.Broker.DurabilityStats(), err
 }
@@ -252,10 +251,8 @@ func (cfg ChaosConfig) run(v chaosVariant, spec WorkloadSpec, script [][]chaosEv
 // rendered transcript (notifications plus mid-run samples), the rendered
 // final view contents, and the degraded-notification count. Every
 // chaosSampleEvery steps it samples each subscription's accumulated cost
-// and pending vector. A sharded runtime is quiesced first: reading them
-// without the quiesce would race the shard workers mid-drain and make
-// the sample depend on scheduling, exactly the bug the quiesce exists to
-// prevent. On the serial broker the samples are plain reads.
+// and pending vector. Both brokers route every publish before it
+// returns, so the samples are plain reads on either.
 func chaosRun(rt Runtime, script [][]chaosEvent) (transcript, finals string, degraded int, err error) {
 	names := rt.Subscriptions()
 	var out strings.Builder
@@ -266,11 +263,6 @@ func chaosRun(rt Runtime, script [][]chaosEvent) (transcript, finals string, deg
 			}
 		}
 		if (t+1)%chaosSampleEvery == 0 {
-			if q, ok := rt.(interface{ Quiesce() error }); ok {
-				if err := q.Quiesce(); err != nil {
-					return "", "", 0, fmt.Errorf("step %d: quiesce: %w", t, err)
-				}
-			}
 			for _, name := range names {
 				cost, err := rt.TotalCost(name)
 				if err != nil {
@@ -392,7 +384,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// Every faulted variant sees the same fault schedule; the report
 	// counts it once, from the injectors the first variant's factory
 	// hands out (called sequentially at setup, before any faulted work,
-	// so the append does not race the shard workers).
+	// so the append does not race the concurrent step barrier).
 	faults := SeededShardInjectors(cfg.Seed, cfg.Rates)
 	var counted []*fault.Seeded
 	countFaults := func(shard int) fault.Injector {

@@ -202,7 +202,6 @@ func TestPublishAtomicityAcrossRuntimes(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					t.Cleanup(w.Close)
 					return w, db
 				}
 				got, gotDB := open()
@@ -248,15 +247,9 @@ func TestPublishAtomicityAcrossRuntimes(t *testing.T) {
 }
 
 // brokerState renders the live tables and every subscription's pending
-// vector and WAL length, quiescing a sharded runtime first so the
-// pending vectors do not depend on worker timing.
+// vector and WAL length.
 func brokerState(t *testing.T, rt Runtime, db *storage.DB) string {
 	t.Helper()
-	if q, ok := rt.(interface{ Quiesce() error }); ok {
-		if err := q.Quiesce(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var out strings.Builder
 	for _, name := range []string{"sales", "stations"} {
 		tbl, err := db.Table(name)

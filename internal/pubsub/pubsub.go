@@ -437,9 +437,9 @@ func (b *Broker) Publish(table string, mod ivm.Mod) error {
 
 // publishDeferred routes one modification to every subscription whose
 // view references the table WITHOUT touching the live base tables. It
-// is the shard-worker half of the sharded broker's ingest path — the
-// ShardedBroker applies the live change exactly once on the publisher
-// side, then each shard routes its own deferred copies here.
+// is the shard half of the sharded broker's publish — the ShardedBroker
+// applies the live change exactly once, then routes each target shard's
+// deferred copies here.
 func (b *Broker) publishDeferred(table string, mod ivm.Mod) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()

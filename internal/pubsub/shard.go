@@ -2,7 +2,6 @@ package pubsub
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"sync"
 	"time"
@@ -15,51 +14,9 @@ import (
 	"abivm/internal/storage"
 )
 
-// Default sizing for the sharded ingest path.
-const (
-	// DefaultShardQueueCap bounds how many modifications one shard admits
-	// between step barriers.
-	DefaultShardQueueCap = 1024
-	// DefaultIngestBatch is how many queued modifications a shard worker
-	// drains per wakeup.
-	DefaultIngestBatch = 32
-)
-
-// ShardLoad is the assignment-time view of one shard: how many
-// subscriptions it already owns and their summed cost weight.
-type ShardLoad struct {
-	Shard         int
-	Subscriptions int
-	Weight        float64
-}
-
-// AssignPolicy picks the shard for a new subscription. weight is the
-// subscription's unit-drain cost Σ_i f_i(1) (its f_i cost weight); loads
-// describes every shard. The returned index must be in [0, len(loads)).
-type AssignPolicy func(cfg Subscription, weight float64, loads []ShardLoad) int
-
-// AssignLoadAware places the subscription on the shard with the least
-// accumulated cost weight (ties break to the lowest shard id), keeping
-// the per-shard Σ f_i balanced the way the paper's per-table asymmetric
-// costs suggest: an expensive view counts for more than a cheap one.
-func AssignLoadAware(cfg Subscription, weight float64, loads []ShardLoad) int {
-	best := 0
-	for i := 1; i < len(loads); i++ {
-		if loads[i].Weight < loads[best].Weight {
-			best = i
-		}
-	}
-	return best
-}
-
-// AssignHash places the subscription by FNV-1a hash of its name —
-// stateless and stable across restarts, but blind to cost skew.
-func AssignHash(cfg Subscription, weight float64, loads []ShardLoad) int {
-	h := fnv.New32a()
-	//lint:ignore errdrop hash.Hash32 Write is documented to never return an error
-	h.Write([]byte(cfg.Name))
-	return int(h.Sum32() % uint32(len(loads)))
-}
+// DefaultShardQueueCap bounds how many modifications one shard admits
+// between step barriers.
+const DefaultShardQueueCap = 1024
 
 // RejectReason says which admission bound a rejected publish hit.
 type RejectReason int
@@ -114,79 +71,31 @@ func (e *RejectionError) Error() string {
 }
 
 // ShardOptions configures a ShardedBroker. The zero value means one
-// shard with default queue sizing, load-aware assignment, and no backlog
-// bound.
+// shard with default admission sizing and no backlog bound.
 type ShardOptions struct {
-	// Shards is the number of worker-owned partitions; <= 0 means 1.
+	// Shards is the number of partitions; <= 0 means 1.
 	Shards int
 	// QueueCap bounds the modifications one shard admits between step
 	// barriers; <= 0 selects DefaultShardQueueCap. The bound is checked
-	// against a per-step admission counter, not the instantaneous queue
-	// depth, so whether a publish is rejected depends only on the publish
-	// sequence — never on worker timing.
+	// against a per-step admission counter, so whether a publish is
+	// rejected depends only on the publish sequence.
 	QueueCap int
-	// BatchSize is how many queued modifications a worker drains per
-	// wakeup; <= 0 selects DefaultIngestBatch.
-	BatchSize int
 	// MaxBacklogCost, when > 0, rejects publishes to a shard whose
 	// refresh cost Σ_i f(s_i) measured at the last step barrier exceeds
 	// the bound. The stale sample keeps admission deterministic.
 	MaxBacklogCost float64
-	// Assign picks the shard for each subscription; nil selects
-	// AssignLoadAware.
-	Assign AssignPolicy
 }
 
-// ingest is one queued modification awaiting deferred routing on a shard.
-type ingest struct {
-	table string
-	mod   ivm.Mod
-}
-
-// shardCmd is the barrier message a shard worker executes in-loop: drain
-// the queue, optionally run EndStep, and reply.
-type shardCmd struct {
-	endStep bool
-	reply   chan stepReply
-}
-
-// stepReply carries one shard's barrier results back to the merge layer.
-type stepReply struct {
-	notes   []Notification
-	backlog float64
-	err     error
-}
-
-// shard is one worker-owned partition: a full serial Broker plus the
-// ingest queue feeding it.
+// shard is one partition: a full serial Broker plus the publisher-side
+// state the ShardedBroker keeps for it.
 type shard struct {
 	id int
 	b  *Broker
 
-	// qmu guards the ingest queue and the obs pointer the worker reads.
-	qmu   sync.Mutex
-	queue []ingest
-	so    *shardObs
-
-	// batch is the worker's reusable drain buffer. Only the worker
-	// goroutine touches it (drain runs nowhere else), so it needs no lock;
-	// reusing it keeps the steady-state ingest path free of per-drain
-	// allocations.
-	batch []ingest
-
-	wake chan struct{} // cap 1: coalesced "queue non-empty" signal
-	cmd  chan shardCmd
-	stop chan struct{}
-	done chan struct{}
-
-	// errMu guards asyncErr, the first deferred-routing failure since the
-	// last barrier; it surfaces as that barrier's error.
-	errMu    sync.Mutex
-	asyncErr error
-
-	// Publisher-side state, guarded by the ShardedBroker mutex: the
-	// assignment load, the admission counter (reset at each barrier), and
-	// the backlog cost sampled at the last barrier.
+	// Guarded by the ShardedBroker mutex: the obs bundle, the assignment
+	// load, the admission counter (reset at each barrier), and the
+	// backlog cost sampled at the last barrier.
+	so       *shardObs
 	subs     int
 	weight   float64
 	admitted int
@@ -194,21 +103,19 @@ type shard struct {
 }
 
 // ShardedBroker is the sharded broker runtime: it partitions
-// subscriptions across N worker-owned shards — each a full serial Broker
-// with its own maintainers, WAL/checkpoint namespace, retry/degradation
-// state, and fault injector — and merges their results. The publisher
-// applies each live-table change exactly once, then hands the deferred
-// copies to the owning shards through bounded ingest queues that the
-// workers drain in batches (the paper's d_t count vectors arriving in
-// bulk), while admission control rejects publishes that would overrun a
-// shard's queue or its Σ f_i(s) cost headroom. The EndStep barrier
-// drains every queue, steps every shard concurrently, and merges the
-// notifications back into global registration order — which is what
-// makes a single-shard run byte-identical to the serial broker, every
-// observable output included (notifications, results, health, costs).
-// All methods are safe for concurrent use; Publish and EndStep serialize
-// on the broker's own lock while each shard's accessors synchronize
-// against its worker.
+// subscriptions across N shards — each a full serial Broker with its own
+// maintainers, WAL/checkpoint namespace, retry/degradation state, and
+// fault injector — and merges their results. Publish applies each
+// live-table change exactly once, then routes the deferred copies
+// synchronously into the owning shards' delta queues, while admission
+// control rejects publishes that would overrun a shard's per-step cap or
+// its Σ f_i(s) cost headroom. The EndStep barrier steps every shard
+// concurrently and merges the notifications back into global
+// registration order — which is what makes a single-shard run
+// byte-identical to the serial broker, every observable output included
+// (notifications, results, health, costs). All methods are safe for
+// concurrent use; Publish, Subscribe and EndStep serialize on the
+// broker's own lock, and the accessors on each shard Broker's lock.
 type ShardedBroker struct {
 	mu     sync.Mutex
 	db     *storage.DB
@@ -222,9 +129,7 @@ type ShardedBroker struct {
 	// routes caches table → watching shards; invalidated on Subscribe.
 	routes map[string][]*shard
 
-	so     *shardedObs
-	step   int
-	closed bool
+	so *shardedObs
 }
 
 // subRef locates one subscription: its name and owning shard.
@@ -234,7 +139,7 @@ type subRef struct {
 }
 
 // NewShardedBroker builds the sharded runtime over a database of base
-// tables and starts one worker goroutine per shard. Close stops them.
+// tables.
 func NewShardedBroker(db *storage.DB, opts ShardOptions) *ShardedBroker {
 	if opts.Shards <= 0 {
 		opts.Shards = 1
@@ -242,175 +147,27 @@ func NewShardedBroker(db *storage.DB, opts ShardOptions) *ShardedBroker {
 	if opts.QueueCap <= 0 {
 		opts.QueueCap = DefaultShardQueueCap
 	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = DefaultIngestBatch
-	}
-	if opts.Assign == nil {
-		opts.Assign = AssignLoadAware
-	}
 	sb := &ShardedBroker{db: db, opts: opts}
 	for i := 0; i < opts.Shards; i++ {
 		b := NewBroker(db)
 		b.ns = "shard" + strconv.Itoa(i)
 		b.shardLabel = strconv.Itoa(i)
-		sh := &shard{
-			id:   i,
-			b:    b,
-			wake: make(chan struct{}, 1),
-			cmd:  make(chan shardCmd),
-			stop: make(chan struct{}),
-			done: make(chan struct{}),
-		}
-		sb.shards = append(sb.shards, sh)
-		go sh.run(opts.BatchSize)
+		sb.shards = append(sb.shards, &shard{id: i, b: b})
 	}
 	return sb
 }
 
-// Shards returns the number of worker-owned partitions.
+// Shards returns the number of partitions.
 func (sb *ShardedBroker) Shards() int {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
 	return len(sb.shards)
 }
 
-// Close stops every shard worker. Queued-but-undrained modifications are
-// dropped (their live-table effects already happened); call Quiesce
-// first if they must reach the maintainers. Close is idempotent.
-func (sb *ShardedBroker) Close() {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	if sb.closed {
-		return
-	}
-	sb.closed = true
-	for _, sh := range sb.shards {
-		close(sh.stop)
-	}
-	for _, sh := range sb.shards {
-		<-sh.done
-	}
-}
-
-// run is the shard worker loop: drain on wake, execute barriers in-loop,
-// exit on stop. The worker is the only goroutine that touches the
-// shard's Broker mutators, so a shard's step work never races another's.
-func (sh *shard) run(batchSize int) {
-	defer close(sh.done)
-	for {
-		select {
-		case <-sh.wake:
-			sh.drain(batchSize)
-		case c := <-sh.cmd:
-			// The barrier sees every admitted modification: drain fully
-			// before stepping.
-			sh.drain(0)
-			var r stepReply
-			if c.endStep {
-				r.notes, r.err = sh.b.EndStep()
-			}
-			if r.err == nil {
-				sh.errMu.Lock()
-				r.err = sh.asyncErr
-				sh.asyncErr = nil
-				sh.errMu.Unlock()
-			}
-			r.backlog = sh.b.backlogCost()
-			c.reply <- r
-		case <-sh.stop:
-			return
-		}
-	}
-}
-
-// drain pops and routes queued modifications, batchSize at a time
-// (batchSize <= 0 drains everything in one batch). Routing errors are
-// parked in asyncErr for the next barrier — they cannot happen on the
-// deferred path today (see Broker.publishDeferred), but a shard must
-// never swallow one silently.
-func (sh *shard) drain(batchSize int) {
-	for {
-		sh.qmu.Lock()
-		n := len(sh.queue)
-		if n == 0 {
-			if sh.so != nil {
-				sh.so.queueDepth.Set(0)
-			}
-			sh.qmu.Unlock()
-			return
-		}
-		if batchSize > 0 && n > batchSize {
-			n = batchSize
-		}
-		if cap(sh.batch) < n {
-			sh.batch = make([]ingest, n)
-		}
-		batch := sh.batch[:n]
-		copy(batch, sh.queue[:n])
-		// Copy-down instead of re-slicing forward: the queue keeps its
-		// backing array, so steady-state enqueue/drain cycles stop
-		// re-growing it.
-		if n == len(sh.queue) {
-			sh.queue = sh.queue[:0]
-		} else {
-			rest := copy(sh.queue, sh.queue[n:])
-			sh.queue = sh.queue[:rest]
-		}
-		so := sh.so
-		depth := len(sh.queue)
-		sh.qmu.Unlock()
-		for _, in := range batch {
-			if err := sh.b.publishDeferred(in.table, in.mod); err != nil {
-				sh.errMu.Lock()
-				if sh.asyncErr == nil {
-					sh.asyncErr = fmt.Errorf("pubsub: shard %d: deferred publish on %q: %w", sh.id, in.table, err)
-				}
-				sh.errMu.Unlock()
-			}
-		}
-		so.observeBatch(n, depth)
-	}
-}
-
-// enqueue appends one modification to the ingest queue and wakes the
-// worker (coalesced: a pending wakeup covers any number of enqueues).
-func (sh *shard) enqueue(in ingest) {
-	sh.qmu.Lock()
-	sh.queue = append(sh.queue, in)
-	if sh.so != nil {
-		sh.so.queueDepth.Set(float64(len(sh.queue)))
-	}
-	sh.qmu.Unlock()
-	select {
-	case sh.wake <- struct{}{}:
-	default:
-	}
-}
-
-// barrier sends cmd to every shard and collects the replies in shard
-// order, updating each shard's backlog sample and resetting its
-// admission counter. The first error (lowest shard id) wins, but every
-// reply is always collected so no worker blocks. Caller holds sb.mu.
-func (sb *ShardedBroker) barrier(endStep bool) ([][]Notification, error) {
-	replies := make([]chan stepReply, len(sb.shards))
-	for i, sh := range sb.shards {
-		replies[i] = make(chan stepReply, 1)
-		sh.cmd <- shardCmd{endStep: endStep, reply: replies[i]}
-	}
-	notes := make([][]Notification, len(sb.shards))
-	var firstErr error
-	for i, sh := range sb.shards {
-		r := <-replies[i]
-		if r.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("pubsub: shard %d: %w", sh.id, r.err)
-		}
-		notes[i] = r.notes
-		sh.backlog = r.backlog
-		sh.admitted = 0
-		sh.syncObs()
-	}
-	return notes, firstErr
-}
+// Close releases nothing: the runtime owns no goroutine between calls,
+// so a closed broker stays fully usable. It exists for callers that
+// manage the broker's lifetime explicitly.
+func (sb *ShardedBroker) Close() {}
 
 // subWeight is a subscription's assignment weight: the cost of draining
 // one modification from every one of its delta queues, Σ_i f_i(1).
@@ -425,11 +182,12 @@ func subWeight(cfg Subscription) float64 {
 	return cfg.Model.Total(ones)
 }
 
-// Subscribe registers a subscription on the shard the assignment policy
-// picks. The target shard is quiesced first so a mid-run subscription's
-// initial snapshot (computed from the live tables, which already include
-// every published modification) is not double-counted by deferred
-// modifications still sitting in the shard's queue.
+// Subscribe registers a subscription on the shard with the least
+// accumulated cost weight Σ f_i(1), ties to the lowest shard id — an
+// expensive view counts for more than a cheap one, the asymmetry the
+// paper's per-table cost functions describe. The target shard's backlog
+// is re-sampled first, as a barrier would, so admission after a mid-run
+// subscribe does not depend on when the subscription joined.
 func (sb *ShardedBroker) Subscribe(cfg Subscription) error {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
@@ -438,59 +196,39 @@ func (sb *ShardedBroker) Subscribe(cfg Subscription) error {
 			return fmt.Errorf("pubsub: duplicate subscription %q", cfg.Name)
 		}
 	}
-	loads := make([]ShardLoad, len(sb.shards))
-	for i, sh := range sb.shards {
-		loads[i] = ShardLoad{Shard: i, Subscriptions: sh.subs, Weight: sh.weight}
+	sh := sb.shards[0]
+	for _, c := range sb.shards[1:] {
+		if c.weight < sh.weight {
+			sh = c
+		}
 	}
-	w := subWeight(cfg)
-	id := sb.opts.Assign(cfg, w, loads)
-	if id < 0 || id >= len(sb.shards) {
-		return fmt.Errorf("pubsub: assignment policy picked shard %d of %d", id, len(sb.shards))
-	}
-	sh := sb.shards[id]
-	if err := sb.quiesceShard(sh); err != nil {
-		return err
-	}
+	sh.backlog = sh.b.backlogCost()
+	sh.syncObs()
 	if err := sh.b.Subscribe(cfg); err != nil {
 		return err
 	}
 	sh.subs++
-	sh.weight += w
-	sb.order = append(sb.order, subRef{name: cfg.Name, shard: id})
+	sh.weight += subWeight(cfg)
+	sb.order = append(sb.order, subRef{name: cfg.Name, shard: sh.id})
 	sb.routes = nil
 	sh.syncObs()
 	return nil
 }
 
-// SubscribeCompiled registers a compiled view's subscription on the
-// shard the assignment policy picks — identical to
-// Subscribe(cv.Subscription()).
+// SubscribeCompiled registers a compiled view's subscription —
+// identical to Subscribe(cv.Subscription()).
 func (sb *ShardedBroker) SubscribeCompiled(cv CompiledSubscription) error {
 	return sb.Subscribe(cv.Subscription())
 }
 
-// quiesceShard drains one shard's queue through its worker. Caller holds
-// sb.mu.
-func (sb *ShardedBroker) quiesceShard(sh *shard) error {
-	reply := make(chan stepReply, 1)
-	sh.cmd <- shardCmd{reply: reply}
-	r := <-reply
-	sh.backlog = r.backlog
-	sh.syncObs()
-	if r.err != nil {
-		return fmt.Errorf("pubsub: shard %d: %w", sh.id, r.err)
-	}
-	return nil
-}
-
 // Publish applies one modification to the shared base tables and routes
 // it to every shard owning a subscription that references the table.
-// The live-table change happens exactly once, synchronously, on the
-// publisher's goroutine; the per-subscription deferred copies are
-// enqueued on the owning shards and routed by their workers. Admission
-// control runs before anything mutates: if any target shard is over its
-// queue or backlog bound the publish returns a *RejectionError and no
-// state — live table or queue — has changed.
+// The live-table change happens exactly once; then each target shard
+// routes its deferred copies into its subscriptions' delta queues, in
+// shard order, on the publisher's goroutine. Admission control runs
+// before anything mutates: if any target shard is over its per-step cap
+// or backlog bound the publish returns a *RejectionError and no state —
+// live table or delta queue — has changed.
 func (sb *ShardedBroker) Publish(table string, mod ivm.Mod) error {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
@@ -519,8 +257,10 @@ func (sb *ShardedBroker) Publish(table string, mod ivm.Mod) error {
 	}
 	for _, sh := range targets {
 		sh.admitted++
-		sh.enqueue(ingest{table: table, mod: mod})
 		sh.syncObs()
+		if err := sh.b.publishDeferred(table, mod); err != nil {
+			return fmt.Errorf("pubsub: shard %d: deferred publish on %q: %w", sh.id, table, err)
+		}
 	}
 	return nil
 }
@@ -544,26 +284,47 @@ func (sb *ShardedBroker) routesFor(table string) []*shard {
 	return targets
 }
 
-// EndStep closes a time step across every shard: each worker drains its
-// remaining queue, steps its own Broker (policies drain delta queues,
-// conditions fire, degradation heals) concurrently with the others, and
-// the merge layer reassembles the notifications into global registration
-// order — exactly the order the serial broker would have emitted.
+// EndStep closes a time step across every shard: each shard steps its
+// own Broker (policies drain delta queues, conditions fire, degradation
+// heals) concurrently with the others, and samples its backlog for the
+// next step's admission checks. The merge layer then resets the
+// admission counters, reports the first error (lowest shard id), and
+// reassembles the notifications into global registration order —
+// exactly the order the serial broker would have emitted.
 func (sb *ShardedBroker) EndStep() ([]Notification, error) {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
-	notes, err := sb.barrier(true)
+	res := make([]stepResult, len(sb.shards))
+	var wg sync.WaitGroup
+	for i := 1; i < len(sb.shards); i++ {
+		wg.Add(1)
+		go func(r *stepResult, b *Broker) {
+			defer wg.Done()
+			r.step(b)
+		}(&res[i], sb.shards[i].b)
+	}
+	// Shard 0 runs on the caller, which would otherwise only wait.
+	res[0].step(sb.shards[0].b)
+	wg.Wait()
+	var err error
+	for i, sh := range sb.shards {
+		if res[i].err != nil && err == nil {
+			err = fmt.Errorf("pubsub: shard %d: %w", sh.id, res[i].err)
+		}
+		sh.backlog = res[i].backlog
+		sh.admitted = 0
+		sh.syncObs()
+	}
 	if err != nil {
 		return nil, err
 	}
-	sb.step++
 	// Merge: walk the global registration order; each shard's stream is a
 	// subsequence in its own registration order, so taking the head when
 	// it matches reconstructs the serial interleaving.
-	heads := make([]int, len(notes))
+	heads := make([]int, len(res))
 	var out []Notification
 	for _, ref := range sb.order {
-		q := notes[ref.shard]
+		q := res[ref.shard].notes
 		if heads[ref.shard] < len(q) && q[heads[ref.shard]].Subscription == ref.name {
 			out = append(out, q[heads[ref.shard]])
 			heads[ref.shard]++
@@ -572,15 +333,18 @@ func (sb *ShardedBroker) EndStep() ([]Notification, error) {
 	return out, nil
 }
 
-// Quiesce blocks until every shard's ingest queue is fully drained into
-// its maintainers, without stepping anyone. Accessors called after a
-// Quiesce (and before further publishes) see a stable, fully-routed
-// state — the chaos harness quiesces before comparing mid-run samples.
-func (sb *ShardedBroker) Quiesce() error {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	_, err := sb.barrier(false)
-	return err
+// stepResult is one shard's share of an EndStep barrier.
+type stepResult struct {
+	notes   []Notification
+	backlog float64
+	err     error
+}
+
+// step runs b's EndStep and samples its backlog for the next step's
+// admission checks.
+func (r *stepResult) step(b *Broker) {
+	r.notes, r.err = b.EndStep()
+	r.backlog = b.backlogCost()
 }
 
 // shardOf finds the shard owning a subscription. Caller holds sb.mu.
@@ -607,7 +371,7 @@ func (sb *ShardedBroker) Subscriptions() []string {
 
 // Health reports a subscription's fault-tolerance status, delegated to
 // its owning shard. Like the serial broker it is safe to call while the
-// workload runs; for a timing-stable Pending vector, Quiesce first.
+// workload runs.
 func (sb *ShardedBroker) Health(name string) (Health, error) {
 	sb.mu.Lock()
 	sh, err := sb.shardOf(name)
@@ -660,8 +424,6 @@ type ShardStat struct {
 	// Weight is the summed assignment weight Σ f_i(1) of the shard's
 	// subscriptions.
 	Weight float64
-	// QueueDepth is the current ingest-queue length.
-	QueueDepth int
 	// Admitted counts modifications admitted since the last step barrier.
 	Admitted int
 	// BacklogCost is Σ_i f(s_i) sampled at the last step barrier.
@@ -674,14 +436,10 @@ func (sb *ShardedBroker) ShardStats() []ShardStat {
 	defer sb.mu.Unlock()
 	out := make([]ShardStat, len(sb.shards))
 	for i, sh := range sb.shards {
-		sh.qmu.Lock()
-		depth := len(sh.queue)
-		sh.qmu.Unlock()
 		out[i] = ShardStat{
 			Shard:         sh.id,
 			Subscriptions: sh.subs,
 			Weight:        sh.weight,
-			QueueDepth:    depth,
 			Admitted:      sh.admitted,
 			BacklogCost:   sh.backlog,
 		}
@@ -692,7 +450,7 @@ func (sb *ShardedBroker) ShardStats() []ShardStat {
 // SetInjectors installs per-shard fault injectors: factory(i) builds
 // shard i's injector, so each shard owns an independent deterministic
 // fault stream (a single shared *fault.Seeded would be both racy and
-// schedule-dependent across workers). A nil factory disables injection
+// schedule-dependent across the concurrent barrier). A nil factory disables injection
 // everywhere. Convention: give shard i a seed derived from (base, i)
 // with shard 0 getting the base seed, so a 1-shard faulted run replays a
 // serial broker seeded the same way.

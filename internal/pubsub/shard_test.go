@@ -31,7 +31,6 @@ func runScript(t *testing.T, script [][]chaosEvent, spec WorkloadSpec, seed int6
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
 	var out strings.Builder
 	for t2, evs := range script {
 		for _, ev := range evs {
@@ -121,7 +120,7 @@ func TestShardCountInvariantFaultFree(t *testing.T) {
 
 // TestShardedDeterminismSameSeed: a faulted sharded run is a pure
 // function of (seed, shard count) — running it twice must be
-// byte-identical, quiesced mid-run samples included.
+// byte-identical, mid-run samples included.
 func TestShardedDeterminismSameSeed(t *testing.T) {
 	const seed, steps, shards = 9, 40, 3
 	spec := ScaledWorkloadSpec(2 * shards)
@@ -141,7 +140,7 @@ func TestShardedDeterminismSameSeed(t *testing.T) {
 		}
 	}
 	if !strings.Contains(first, "sample ") {
-		t.Fatal("sharded transcript is missing quiesced mid-run samples")
+		t.Fatal("sharded transcript is missing mid-run samples")
 	}
 }
 
@@ -185,7 +184,7 @@ func TestShardWithZeroSubscriptions(t *testing.T) {
 	empty := 0
 	for _, st := range stats {
 		if st.Subscriptions == 0 {
-			if st.Weight != 0 || st.QueueDepth != 0 || st.BacklogCost != 0 {
+			if st.Weight != 0 || st.BacklogCost != 0 {
 				t.Fatalf("empty shard %d has non-zero load: %+v", st.Shard, st)
 			}
 			empty++
@@ -296,9 +295,9 @@ func TestBacklogRejection(t *testing.T) {
 	}
 }
 
-// TestMidRunSubscribeMatchesSerial: subscribing while deferred
-// modifications are still queued must quiesce the target shard first —
-// otherwise the new subscription's initial snapshot double-counts them.
+// TestMidRunSubscribeMatchesSerial: subscribing mid-step, after some of
+// the step's modifications were already published, must not make the
+// new subscription's initial snapshot double-count them.
 func TestMidRunSubscribeMatchesSerial(t *testing.T) {
 	const seed, steps, joinAt = 21, 40, 17
 	script := chaosScript(seed, steps, DefaultWorkloadSpec())
@@ -357,5 +356,78 @@ func TestMidRunSubscribeMatchesSerial(t *testing.T) {
 
 	if serial != sharded {
 		t.Fatalf("mid-run subscribe diverged from serial broker:\n%s", firstDiff(serial, sharded))
+	}
+}
+
+// TestShardedBrokerUsableAfterClose: Close releases nothing, so a
+// publish and a step after it must complete and reach the views exactly
+// as they would on the serial broker.
+func TestShardedBrokerUsableAfterClose(t *testing.T) {
+	run := func(rt Runtime) string {
+		subs, err := demoSubscriptions(DefaultWorkloadSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range subs {
+			sc.Condition = Every(1)
+			if err := rt.Subscribe(sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sb, ok := rt.(*ShardedBroker); ok {
+			sb.Close()
+		}
+		results := func() string {
+			var out strings.Builder
+			for _, sc := range subs {
+				rows, err := rt.Result(sc.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&out, "%s: %s\n", sc.Name, renderRows(rows))
+			}
+			return out.String()
+		}
+		before := results()
+		done := make(chan error, 1)
+		go func() {
+			// Every(1) first fires on step 1, so the publish lands
+			// between two steps and the second refreshes both views.
+			if _, err := rt.EndStep(); err != nil {
+				done <- err
+				return
+			}
+			if err := rt.Publish("sales", ivm.Insert("", storage.Row{storage.I(900), storage.I(0), storage.F(1000)})); err != nil {
+				done <- err
+				return
+			}
+			_, err := rt.EndStep()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("steps and publish after Close did not complete")
+		}
+		after := results()
+		if after == before {
+			t.Fatalf("the views do not reflect the publish:\n%s", after)
+		}
+		return after
+	}
+	dbA, err := DemoDB(DefaultWorkloadSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := run(NewBroker(dbA))
+	dbB, err := DemoDB(DefaultWorkloadSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sharded := run(NewShardedBroker(dbB, ShardOptions{Shards: 2})); sharded != serial {
+		t.Fatalf("after Close the sharded views diverged from the serial broker:\n%s", firstDiff(serial, sharded))
 	}
 }

@@ -6,26 +6,23 @@ import (
 	"abivm/internal/obs"
 )
 
-// shardedObs is the sharded broker's own instrumentation: the ingest and
-// admission-control series the serial broker has no equivalent for. The
-// per-shard Broker series (steps, latency, retries, …) are handled by
-// each shard's brokerObs with its `shard` label; this bundle adds the
-// queue/backpressure view. Nil (the default) is the detached no-op
-// state, mirroring brokerObs.
+// shardedObs is the sharded broker's own instrumentation: the placement
+// and admission-control series the serial broker has no equivalent for.
+// The per-shard Broker series (steps, latency, retries, …) are handled
+// by each shard's brokerObs with its `shard` label; this bundle adds the
+// backpressure view. Nil (the default) is the detached no-op state,
+// mirroring brokerObs.
 type shardedObs struct {
 	shards   *obs.Gauge
 	perShard []*shardObs
 }
 
-// shardObs is one shard's ingest-path series, all labeled `shard`.
+// shardObs is one shard's series, all labeled `shard`.
 type shardObs struct {
-	queueDepth    *obs.Gauge
 	backlogCost   *obs.Gauge
 	admitted      *obs.Gauge
 	subs          *obs.Gauge
 	weight        *obs.Gauge
-	batches       *obs.Counter
-	batchSize     *obs.Histogram
 	rejectQueue   *obs.Counter
 	rejectBacklog *obs.Counter
 }
@@ -39,13 +36,10 @@ func newShardedObs(reg *obs.Registry, shards int) *shardedObs {
 	for i := 0; i < shards; i++ {
 		id := strconv.Itoa(i)
 		so.perShard = append(so.perShard, &shardObs{
-			queueDepth:    reg.Gauge("pubsub_shard_queue_depth", "shard", id),
 			backlogCost:   reg.Gauge("pubsub_shard_backlog_cost", "shard", id),
 			admitted:      reg.Gauge("pubsub_shard_admitted_mods", "shard", id),
 			subs:          reg.Gauge("pubsub_shard_subscriptions", "shard", id),
 			weight:        reg.Gauge("pubsub_shard_weight", "shard", id),
-			batches:       reg.Counter("pubsub_ingest_batches_total", "shard", id),
-			batchSize:     reg.Histogram("pubsub_ingest_batch_size", obs.SizeBuckets(), "shard", id),
 			rejectQueue:   reg.Counter("pubsub_shard_rejections_total", "shard", id, "reason", "queue_full"),
 			rejectBacklog: reg.Counter("pubsub_shard_rejections_total", "shard", id, "reason", "backlog"),
 		})
@@ -53,25 +47,10 @@ func newShardedObs(reg *obs.Registry, shards int) *shardedObs {
 	return so
 }
 
-// observeBatch records one drained ingest batch and the depth left
-// behind. Called from the shard worker.
-func (o *shardObs) observeBatch(n, depth int) {
-	if o == nil {
-		return
-	}
-	o.batches.Inc()
-	o.batchSize.Observe(float64(n))
-	o.queueDepth.Set(float64(depth))
-}
-
-// syncObs refreshes the shard's publisher-side gauges (admission count,
-// backlog sample, assignment load). Caller holds the ShardedBroker
-// mutex; the obs pointer itself is read under qmu, the lock SetObs
-// hands it over under.
+// syncObs refreshes the shard's gauges (admission count, backlog
+// sample, assignment load). Caller holds the ShardedBroker mutex.
 func (sh *shard) syncObs() {
-	sh.qmu.Lock()
 	o := sh.so
-	sh.qmu.Unlock()
 	if o == nil {
 		return
 	}
@@ -82,12 +61,9 @@ func (sh *shard) syncObs() {
 }
 
 // observeReject counts one admission-control rejection. Caller holds the
-// ShardedBroker mutex; the obs pointer itself is read under qmu, the
-// lock SetObs hands it over under.
+// ShardedBroker mutex.
 func (sh *shard) observeReject(r RejectReason) {
-	sh.qmu.Lock()
 	o := sh.so
-	sh.qmu.Unlock()
 	if o == nil {
 		return
 	}
@@ -100,26 +76,17 @@ func (sh *shard) observeReject(r RejectReason) {
 }
 
 // SetObs attaches an observability sink to the sharded runtime: every
-// shard's Broker instruments (labeled `shard`), the ingest-path series
-// above, and span recording on tr. A nil registry detaches everything.
-// The swap is safe while workers run — each shard's obs pointer is
-// handed over under the queue mutex its worker reads it under.
+// shard's Broker instruments (labeled `shard`), the shard series above,
+// and span recording on tr. A nil registry detaches everything.
 func (sb *ShardedBroker) SetObs(reg *obs.Registry, tr *obs.Tracer) {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
 	sb.so = newShardedObs(reg, len(sb.shards))
 	for i, sh := range sb.shards {
 		sh.b.SetObs(reg, tr)
-		var o *shardObs
+		sh.so = nil
 		if sb.so != nil {
-			o = sb.so.perShard[i]
-		}
-		sh.qmu.Lock()
-		sh.so = o
-		depth := len(sh.queue)
-		sh.qmu.Unlock()
-		if o != nil {
-			o.queueDepth.Set(float64(depth))
+			sh.so = sb.so.perShard[i]
 		}
 		sh.syncObs()
 	}

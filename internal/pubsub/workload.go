@@ -207,7 +207,7 @@ type DemoWorkload struct {
 }
 
 // NewDemoWorkload builds the demo database (DemoDB(c.Spec)), the broker
-// runtime c selects, and the subscriptions. Call Close when done.
+// runtime c selects, and the subscriptions.
 func NewDemoWorkload(c DemoConfig) (*DemoWorkload, error) {
 	if len(c.Spec.Regions) == 0 {
 		c.Spec = DefaultWorkloadSpec()
@@ -232,7 +232,6 @@ func NewDemoWorkload(c DemoConfig) (*DemoWorkload, error) {
 	}
 	w := &DemoWorkload{Broker: rt, gen: newEventGen(c.Seed, c.Spec)}
 	if err := w.setup(db, c); err != nil {
-		w.Close()
 		return nil, err
 	}
 	return w, nil
@@ -264,14 +263,6 @@ func (w *DemoWorkload) Step() ([]Notification, error) {
 		}
 	}
 	return w.Broker.EndStep()
-}
-
-// Close stops the shard workers of a sharded workload; a no-op on the
-// serial broker.
-func (w *DemoWorkload) Close() {
-	if sb, ok := w.Broker.(*ShardedBroker); ok {
-		sb.Close()
-	}
 }
 
 // SeededShardInjectors returns a per-shard injector factory: shard i

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -44,8 +45,16 @@ type FloatLit struct{ V float64 }
 
 func (*FloatLit) exprNode() {}
 
-// String renders the literal.
-func (l *FloatLit) String() string { return fmt.Sprintf("%g", l.V) }
+// String renders the literal in the only float form the lexer reads:
+// plain digits with one decimal point, never an exponent, so the text
+// re-parses to the same FloatLit.
+func (l *FloatLit) String() string {
+	s := strconv.FormatFloat(l.V, 'f', -1, 64)
+	if !strings.Contains(s, ".") {
+		s += ".0"
+	}
+	return s
+}
 
 // StringLit is a string literal.
 type StringLit struct{ V string }

@@ -3,9 +3,9 @@
 # serial broker, on the sharded runtime (-shards 4), and on two shards
 # with the shared engine and with a compiled views.sql catalog — scrape
 # the ops endpoints, and assert the required metric series exist. This is
-# the end-to-end proof that the observability wiring — broker, shard
-# workers, maintainer, fault injector — actually emits on a live
-# process, not just in unit tests.
+# the end-to-end proof that the observability wiring — broker, shards,
+# maintainer, fault injector — actually emits on a live process, not
+# just in unit tests.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -84,10 +84,10 @@ smoke serial ""
 # the shard-runtime series must appear.
 smoke sharded "-shards 4" \
     pubsub_shards \
-    pubsub_shard_queue_depth \
     pubsub_shard_backlog_cost \
-    pubsub_ingest_batches_total \
-    pubsub_ingest_batch_size
+    pubsub_shard_admitted_mods \
+    pubsub_shard_subscriptions \
+    pubsub_shard_weight
 
 # The shared engine and compiled catalogs run on either broker; exercise
 # both on the sharded runtime.
